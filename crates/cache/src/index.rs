@@ -30,6 +30,9 @@ impl Indexing {
             return 0;
         }
         match self {
+            // Every set count in Table I is a power of two: select the
+            // low bits without a division.
+            Indexing::Modulo if num_sets.is_power_of_two() => addr & (num_sets - 1),
             Indexing::Modulo => addr % num_sets,
             Indexing::Xor => {
                 if num_sets.is_power_of_two() {
@@ -69,6 +72,23 @@ mod tests {
     fn modulo_is_modulo() {
         assert_eq!(Indexing::Modulo.set_of(13, 8), 5);
         assert_eq!(Indexing::Modulo.set_of(16, 8), 0);
+    }
+
+    #[test]
+    fn modulo_mask_equals_remainder_for_every_power_of_two() {
+        let mut rng = tcor_common::SmallRng::seed_from_u64(0x5E75);
+        for bits in 0..=16 {
+            let num_sets = 1u64 << bits;
+            let edges = [0, 1, num_sets - 1, num_sets, num_sets + 1, u64::MAX];
+            let sampled = (0..2_000).map(|_| rng.next_u64());
+            for addr in edges.into_iter().chain(sampled) {
+                assert_eq!(
+                    Indexing::Modulo.set_of(addr, num_sets),
+                    addr % num_sets,
+                    "addr {addr}, {num_sets} sets"
+                );
+            }
+        }
     }
 
     #[test]

@@ -95,16 +95,20 @@ pub trait UniformRange: Sized {
 }
 
 /// Unbiased integer sampling in `[0, span)` by Lemire's widening
-/// multiply with rejection.
+/// multiply with rejection. The rejection threshold `2^64 mod span` is
+/// below `span`, so it is computed (one division) only when the low
+/// product falls under `span`; the accepted values and the draws
+/// consumed are those of the always-divide form.
 fn uniform_u64(rng: &mut Xoshiro256pp, span: u64) -> u64 {
     debug_assert!(span > 0);
-    let threshold = span.wrapping_neg() % span;
-    loop {
-        let wide = (rng.next_u64() as u128) * (span as u128);
-        if (wide as u64) >= threshold {
-            return (wide >> 64) as u64;
+    let mut wide = (rng.next_u64() as u128) * (span as u128);
+    if (wide as u64) < span {
+        let threshold = span.wrapping_neg() % span;
+        while (wide as u64) < threshold {
+            wide = (rng.next_u64() as u128) * (span as u128);
         }
     }
+    (wide >> 64) as u64
 }
 
 impl UniformRange for u64 {
@@ -199,6 +203,43 @@ mod tests {
         }
         for &c in &counts {
             assert!((9000..11000).contains(&c), "bucket count {c}");
+        }
+    }
+
+    /// The always-divide form of Lemire's method that `uniform_u64`
+    /// must reproduce draw for draw.
+    fn uniform_u64_reference(rng: &mut Xoshiro256pp, span: u64) -> u64 {
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let wide = (rng.next_u64() as u128) * (span as u128);
+            if (wide as u64) >= threshold {
+                return (wide >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_threshold_matches_the_always_divide_form() {
+        let mut spans: Vec<u64> = vec![1, 2, 3, 5, 7, 64, 1000, 4095, 1 << 32, (1 << 32) + 1];
+        spans.extend((0..64).map(|b| 1u64 << b)); // powers of two
+        spans.extend((1..64).map(|b| (1u64 << b) + 1)); // odd
+                                                        // Near 2^63, where up to half of all draws are rejected.
+        spans.extend([(1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 63) + 12345]);
+        spans.extend([u64::MAX - 1, u64::MAX]);
+        let mut pick = Xoshiro256pp::seed_from_u64(0xD1CE);
+        spans.extend((0..200).map(|_| pick.next_u64() | 1)); // random odd
+        for (i, &span) in spans.iter().enumerate() {
+            let mut lazy = Xoshiro256pp::seed_from_u64(i as u64);
+            let mut eager = lazy.clone();
+            for _ in 0..500 {
+                assert_eq!(
+                    uniform_u64(&mut lazy, span),
+                    uniform_u64_reference(&mut eager, span),
+                    "span {span}"
+                );
+                // Same generator state: the same number of draws.
+                assert_eq!(lazy, eager, "span {span}");
+            }
         }
     }
 

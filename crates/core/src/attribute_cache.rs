@@ -144,6 +144,94 @@ struct PbLine {
     attr_count: u8,
 }
 
+/// Incremental index over the replacement *candidates* (valid, unlocked
+/// lines) that answers the cache-wide questions of the policy in
+/// O(log N) instead of a scan of every Primitive Buffer line — the
+/// model's counterpart of the hardware comparator tree:
+///
+/// * the victim: greatest OPT Number, ties to the **highest** line index
+///   (what `max_by_key` returns over an index-ordered scan);
+/// * the Attribute Buffer entries all candidates hold (read feasibility);
+/// * the entries held by candidates strictly above an OPT floor (write
+///   feasibility).
+///
+/// A max tree over line indices keys each candidate by `(opt, index)`;
+/// a Fenwick tree over the 4,096 saturated OPT Numbers sums entries.
+#[derive(Clone, Debug)]
+struct VictimIndex {
+    /// `tree[lines + i]` is line `i`'s key (0: not a candidate) and
+    /// `tree[k] = max(tree[2k], tree[2k + 1])`, so `tree[1]` is the
+    /// maximum over every line.
+    tree: Vec<u64>,
+    /// Entries held by all candidates.
+    held: usize,
+    /// Fenwick tree (1-based) of entries held, by OPT Number. Removals
+    /// add the two's complement; every prefix sum is a true count.
+    by_opt: Vec<u32>,
+}
+
+impl VictimIndex {
+    fn new(lines: usize) -> Self {
+        VictimIndex {
+            tree: vec![0; 2 * lines],
+            held: 0,
+            by_opt: vec![0; TileRank::OPT_MAX as usize + 2],
+        }
+    }
+
+    fn set_key(&mut self, line: usize, key: u64) {
+        let mut k = line + self.tree.len() / 2;
+        self.tree[k] = key;
+        while k > 1 {
+            k /= 2;
+            let m = self.tree[2 * k].max(self.tree[2 * k + 1]);
+            if self.tree[k] == m {
+                break; // ancestors already agree
+            }
+            self.tree[k] = m;
+        }
+    }
+
+    fn add_held(&mut self, opt: TileRank, delta: u32) {
+        let mut k = opt.0 as usize + 1;
+        while k < self.by_opt.len() {
+            self.by_opt[k] = self.by_opt[k].wrapping_add(delta);
+            k += k & k.wrapping_neg();
+        }
+    }
+
+    /// `line` became a candidate holding `attrs` entries.
+    fn insert(&mut self, line: usize, opt: TileRank, attrs: u8) {
+        self.set_key(line, ((opt.0 as u64 + 1) << 32) | line as u64);
+        self.held += attrs as usize;
+        self.add_held(opt, attrs as u32);
+    }
+
+    /// `line` (a candidate with these fields) stops being one.
+    fn remove(&mut self, line: usize, opt: TileRank, attrs: u8) {
+        self.set_key(line, 0);
+        self.held -= attrs as usize;
+        self.add_held(opt, (attrs as u32).wrapping_neg());
+    }
+
+    /// The candidate with the greatest `(opt, line index)`.
+    fn victim(&self) -> Option<usize> {
+        let top = self.tree[1];
+        (top != 0).then_some(top as u32 as usize)
+    }
+
+    /// Entries held by candidates whose OPT Number exceeds `floor`.
+    fn held_above(&self, floor: TileRank) -> usize {
+        let mut at_or_below = 0u32;
+        let mut k = floor.0 as usize + 1;
+        while k > 0 {
+            at_or_below = at_or_below.wrapping_add(self.by_opt[k]);
+            k &= k - 1;
+        }
+        self.held - at_or_below as usize
+    }
+}
+
 /// The Attribute Cache.
 #[derive(Clone, Debug)]
 pub struct AttributeCache {
@@ -153,6 +241,9 @@ pub struct AttributeCache {
     /// information the simulator needs).
     ab_next: Vec<Option<u32>>,
     free: Vec<u32>,
+    /// The valid, unlocked lines, kept in step with `lines` at every
+    /// lock, unlock, OPT change, fill and eviction.
+    index: VictimIndex,
     stats: AccessStats,
     locked_prims: u64,
     resident: usize,
@@ -179,6 +270,7 @@ impl AttributeCache {
             lines: vec![PbLine::default(); cfg.pb_lines],
             ab_next: vec![None; cfg.ab_entries],
             free: (0..cfg.ab_entries as u32).rev().collect(),
+            index: VictimIndex::new(cfg.pb_lines),
             stats: AccessStats::new(),
             locked_prims: 0,
             resident: 0,
@@ -297,9 +389,34 @@ impl AttributeCache {
         }
     }
 
+    /// Makes the (empty) line `idx` resident: allocates its attribute
+    /// chain and, unless it starts locked, enters it in the index.
+    fn fill(&mut self, idx: usize, prim: PrimitiveId, attr_count: u8, opt: TileRank, lock: bool) {
+        debug_assert!(!self.lines[idx].valid);
+        let abp = self.alloc_chain(attr_count);
+        self.lines[idx] = PbLine {
+            valid: true,
+            lock,
+            // Read fills arrive locked and clean; Polygon List Builder
+            // writes arrive unlocked and dirty.
+            dirty: !lock,
+            prim,
+            opt,
+            abp,
+            attr_count,
+        };
+        self.resident += 1;
+        if lock {
+            self.locked_prims += 1;
+        } else {
+            self.index.insert(idx, opt, attr_count);
+        }
+    }
+
     fn evict_line(&mut self, idx: usize) -> EvictedPrim {
         let line = self.lines[idx];
         debug_assert!(line.valid && !line.lock);
+        self.index.remove(idx, line.opt, line.attr_count);
         if line.dirty {
             self.wb_blocks += line.attr_count as u64;
         }
@@ -310,6 +427,15 @@ impl AttributeCache {
             prim: line.prim,
             dirty: line.dirty,
             attr_count: line.attr_count,
+        }
+    }
+
+    fn unlock_line(&mut self, idx: usize) {
+        let line = &mut self.lines[idx];
+        if line.lock {
+            line.lock = false;
+            self.locked_prims -= 1;
+            self.index.insert(idx, line.opt, line.attr_count);
         }
     }
 
@@ -355,23 +481,57 @@ impl AttributeCache {
     }
 
     /// Frees Attribute Buffer space by evicting unlocked primitives
-    /// cache-wide in OPT order until `needed` entries are free. Returns
-    /// `false` (rolling nothing back — evicted lines were the
-    /// farthest-future anyway) if locked lines make it impossible.
-    fn make_space(&mut self, needed: usize, evicted: &mut Vec<EvictedPrim>) -> bool {
+    /// cache-wide in OPT order (only those strictly above `floor`, if
+    /// given) until `needed` entries are free. The caller has checked
+    /// that enough such entries exist.
+    fn make_space(
+        &mut self,
+        needed: usize,
+        floor: Option<TileRank>,
+        evicted: &mut Vec<EvictedPrim>,
+    ) {
         while self.free.len() < needed {
-            let victim = (0..self.lines.len())
-                .filter(|&i| self.lines[i].valid && !self.lines[i].lock)
-                .max_by_key(|&i| self.lines[i].opt);
-            match victim {
-                Some(i) => {
-                    self.audit_global_victim(i, None);
-                    evicted.push(self.evict_line(i));
-                }
-                None => return false,
-            }
+            let victim = self
+                .index
+                .victim()
+                .filter(|&i| floor.is_none_or(|f| self.lines[i].opt > f))
+                .expect("feasibility checked");
+            self.audit_global_victim(victim, floor);
+            evicted.push(self.evict_line(victim));
         }
-        true
+    }
+
+    /// Reserves a line and `attr_count` Attribute Buffer entries for
+    /// `prim`, evicting the farthest-future unlocked lines: the set's
+    /// best victim if the set is full, then cache-wide for space. The
+    /// read-miss path, and the write path of the no-bypass ablation.
+    /// Returns `None`, leaving the cache untouched, when locks make it
+    /// impossible.
+    fn reserve(
+        &mut self,
+        prim: PrimitiveId,
+        attr_count: u8,
+        opt: TileRank,
+        lock: bool,
+    ) -> Option<Vec<EvictedPrim>> {
+        let set = self.set_of(prim);
+        let line_idx = self
+            .set_range(set)
+            .find(|&i| !self.lines[i].valid)
+            .or_else(|| self.best_victim(set))?; // every line of the set locked
+        if self.free.len() + self.index.held < attr_count as usize {
+            return None; // locked primitives hold the buffer
+        }
+        let mut evicted = Vec::new();
+        if self.lines[line_idx].valid {
+            self.audit_set_victim(set, line_idx);
+            evicted.push(self.evict_line(line_idx));
+        }
+        // §III.C.3 Miss: "In case of a dearth of space, more primitives
+        // are evicted using OPT".
+        self.make_space(attr_count as usize, None, &mut evicted);
+        self.fill(line_idx, prim, attr_count, opt, lock);
+        Some(evicted)
     }
 
     /// Tile Fetcher read of `prim` (which has `attr_count` attributes) on
@@ -389,63 +549,27 @@ impl AttributeCache {
         self.sample_occupancy();
         if let Some(idx) = self.find(prim) {
             self.stats.record_read(true);
-            let line = &mut self.lines[idx];
+            let line = self.lines[idx];
             if !line.lock {
-                line.lock = true;
+                self.index.remove(idx, line.opt, line.attr_count);
+                self.lines[idx].lock = true;
                 self.locked_prims += 1;
             }
-            line.opt = opt_number;
+            self.lines[idx].opt = opt_number;
             self.stats.probes += 1;
             return ReadResult::Hit;
         }
-
-        // Miss path: reserve a Primitive Buffer line. Check feasibility
-        // *before* mutating so a stall leaves the cache untouched.
-        let set = self.set_of(prim);
-        let empty = self.set_range(set).find(|&i| !self.lines[i].valid);
-        let victim = self.best_victim(set);
-        if empty.is_none() && victim.is_none() {
-            self.stall_events += 1;
-            return ReadResult::Stalled; // every line in the set is locked
-        }
-        let reclaimable: usize = (0..self.lines.len())
-            .filter(|&i| self.lines[i].valid && !self.lines[i].lock)
-            .map(|i| self.lines[i].attr_count as usize)
-            .sum();
-        if self.free.len() + reclaimable < attr_count as usize {
-            self.stall_events += 1;
-            return ReadResult::Stalled; // locked primitives hold the buffer
-        }
-
-        let mut evicted = Vec::new();
-        let line_idx = match empty {
-            Some(i) => i,
-            None => {
-                let v = victim.expect("checked above");
-                self.audit_set_victim(set, v);
-                evicted.push(self.evict_line(v));
-                v
+        match self.reserve(prim, attr_count, opt_number, true) {
+            Some(evicted) => {
+                self.stats.record_read(false);
+                self.stats.probes += 1;
+                ReadResult::Miss { evicted }
             }
-        };
-        // Ensure Attribute Buffer space (§III.C.3 Miss: "In case of a
-        // dearth of space, more primitives are evicted using OPT").
-        let ok = self.make_space(attr_count as usize, &mut evicted);
-        debug_assert!(ok, "feasibility was checked");
-        self.stats.record_read(false);
-        let abp = self.alloc_chain(attr_count);
-        self.lines[line_idx] = PbLine {
-            valid: true,
-            lock: true,
-            dirty: false,
-            prim,
-            opt: opt_number,
-            abp,
-            attr_count,
-        };
-        self.resident += 1;
-        self.locked_prims += 1;
-        self.stats.probes += 1;
-        ReadResult::Miss { evicted }
+            None => {
+                self.stall_events += 1;
+                ReadResult::Stalled
+            }
+        }
     }
 
     /// Polygon List Builder write of a new primitive whose first use is
@@ -458,141 +582,59 @@ impl AttributeCache {
             self.find(prim).is_none(),
             "each primitive is written exactly once"
         );
-        let set = self.set_of(prim);
-        let empty = self.set_range(set).find(|&i| !self.lines[i].valid);
-
-        if !self.cfg.write_bypass {
+        let evicted = if self.cfg.write_bypass {
+            self.write_or_bypass(prim, attr_count, first_use)
+        } else {
             // Ablation: no bypass — allocate like a read (evict the
             // farthest-future unlocked line unconditionally), falling
             // back to bypass only when locks leave no room.
-            return match self.read_style_reserve(prim, attr_count, first_use) {
-                Some(evicted) => {
-                    self.stats.probes += 1;
-                    WriteResult::Allocated { evicted }
-                }
-                None => {
-                    self.stats.bypasses += 1;
-                    WriteResult::Bypassed
-                }
-            };
-        }
-
-        // Feasibility of Attribute Buffer space: free entries plus entries
-        // held by unlocked primitives that are strictly farther-future
-        // than this write (only those may be evicted on the write path).
-        let reclaimable: usize = (0..self.lines.len())
-            .filter(|&i| {
-                self.lines[i].valid && !self.lines[i].lock && self.lines[i].opt > first_use
-            })
-            .map(|i| self.lines[i].attr_count as usize)
-            .sum();
-        let space_feasible = self.free.len() + reclaimable >= attr_count as usize;
-
-        let line_idx = match empty {
-            Some(i) if space_feasible => i,
-            _ => {
-                // Full set (or not enough space): compare with the best
-                // victim's OPT Number.
-                let Some(victim) = self.best_victim(set) else {
-                    self.stats.bypasses += 1;
-                    return WriteResult::Bypassed;
-                };
-                if empty.is_none() && self.lines[victim].opt <= first_use {
-                    // The victim (and so every line in the set) is used no
-                    // later than this primitive: bypass. Equality also
-                    // bypasses (§III.C.4).
-                    self.stats.bypasses += 1;
-                    return WriteResult::Bypassed;
-                }
-                if !space_feasible {
-                    self.stats.bypasses += 1;
-                    return WriteResult::Bypassed;
-                }
-                match empty {
-                    Some(i) => i,
-                    None => victim,
-                }
-            }
+            self.reserve(prim, attr_count, first_use, false)
         };
+        match evicted {
+            Some(evicted) => {
+                self.stats.record_write(false); // every PLB write is a (compulsory) miss
+                self.stats.probes += 1;
+                WriteResult::Allocated { evicted }
+            }
+            None => {
+                self.stats.bypasses += 1;
+                WriteResult::Bypassed
+            }
+        }
+    }
 
+    /// The write path with bypass (§III.C.4): allocate only by evicting
+    /// primitives strictly farther-future than `first_use`; `None` means
+    /// bypass to the L2.
+    fn write_or_bypass(
+        &mut self,
+        prim: PrimitiveId,
+        attr_count: u8,
+        first_use: TileRank,
+    ) -> Option<Vec<EvictedPrim>> {
+        let set = self.set_of(prim);
+        let line_idx = match self.set_range(set).find(|&i| !self.lines[i].valid) {
+            Some(i) => i,
+            // Full set: the best victim must be used strictly later than
+            // this primitive; otherwise every line of the set is used no
+            // later, and equality also bypasses.
+            None => self
+                .best_victim(set)
+                .filter(|&v| self.lines[v].opt > first_use)?,
+        };
+        // Attribute Buffer space: free entries plus those held by
+        // unlocked primitives strictly farther-future than this write
+        // (only those may be evicted on the write path).
+        if self.free.len() + self.index.held_above(first_use) < attr_count as usize {
+            return None;
+        }
         let mut evicted = Vec::new();
         if self.lines[line_idx].valid {
             self.audit_set_victim(set, line_idx);
             evicted.push(self.evict_line(line_idx));
         }
-        // Free space evicting only strictly-farther-future primitives.
-        while self.free.len() < attr_count as usize {
-            let victim = (0..self.lines.len())
-                .filter(|&i| {
-                    self.lines[i].valid && !self.lines[i].lock && self.lines[i].opt > first_use
-                })
-                .max_by_key(|&i| self.lines[i].opt)
-                .expect("feasibility checked");
-            self.audit_global_victim(victim, Some(first_use));
-            evicted.push(self.evict_line(victim));
-        }
-        self.stats.record_write(false); // every PLB write is a (compulsory) miss
-        let abp = self.alloc_chain(attr_count);
-        self.lines[line_idx] = PbLine {
-            valid: true,
-            lock: false,
-            dirty: true,
-            prim,
-            opt: first_use,
-            abp,
-            attr_count,
-        };
-        self.resident += 1;
-        self.stats.probes += 1;
-        WriteResult::Allocated { evicted }
-    }
-
-    /// Shared allocation path for the no-bypass ablation: reserve a line
-    /// for `prim` evicting farthest-future unlocked lines; returns `None`
-    /// when locks make it impossible.
-    fn read_style_reserve(
-        &mut self,
-        prim: PrimitiveId,
-        attr_count: u8,
-        opt: TileRank,
-    ) -> Option<Vec<EvictedPrim>> {
-        let set = self.set_of(prim);
-        let empty = self.set_range(set).find(|&i| !self.lines[i].valid);
-        let victim = self.best_victim(set);
-        if empty.is_none() && victim.is_none() {
-            return None;
-        }
-        let reclaimable: usize = (0..self.lines.len())
-            .filter(|&i| self.lines[i].valid && !self.lines[i].lock)
-            .map(|i| self.lines[i].attr_count as usize)
-            .sum();
-        if self.free.len() + reclaimable < attr_count as usize {
-            return None;
-        }
-        let mut evicted = Vec::new();
-        let line_idx = match empty {
-            Some(i) => i,
-            None => {
-                let v = victim.expect("checked above");
-                self.audit_set_victim(set, v);
-                evicted.push(self.evict_line(v));
-                v
-            }
-        };
-        let ok = self.make_space(attr_count as usize, &mut evicted);
-        debug_assert!(ok, "feasibility was checked");
-        self.stats.record_write(false);
-        let abp = self.alloc_chain(attr_count);
-        self.lines[line_idx] = PbLine {
-            valid: true,
-            lock: false,
-            dirty: true,
-            prim,
-            opt,
-            abp,
-            attr_count,
-        };
-        self.resident += 1;
+        self.make_space(attr_count as usize, Some(first_use), &mut evicted);
+        self.fill(line_idx, prim, attr_count, first_use, false);
         Some(evicted)
     }
 
@@ -601,10 +643,7 @@ impl AttributeCache {
     /// primitive already evicted (only possible when unlocked) is a no-op.
     pub fn unlock(&mut self, prim: PrimitiveId) {
         if let Some(idx) = self.find(prim) {
-            if self.lines[idx].lock {
-                self.lines[idx].lock = false;
-                self.locked_prims -= 1;
-            }
+            self.unlock_line(idx);
         }
     }
 
@@ -624,14 +663,12 @@ impl AttributeCache {
         let mut out = Vec::new();
         for i in 0..self.lines.len() {
             if self.lines[i].valid {
-                if self.lines[i].lock {
-                    self.lines[i].lock = false;
-                    self.locked_prims -= 1;
-                }
+                self.unlock_line(i);
                 out.push(self.evict_line(i));
             }
         }
         debug_assert_eq!(self.free.len(), self.cfg.ab_entries);
+        debug_assert_eq!(self.index.held, 0);
         out
     }
 }

@@ -289,15 +289,9 @@ fn raster_tile(
     hierarchy: &mut MemoryHierarchy,
 ) {
     let fragments = frame.fragments_per_tile[tile_index];
-    for b in raster.texture_blocks(fragments) {
-        l1s.texture_read(b, hierarchy);
-    }
-    for b in raster.instruction_blocks() {
-        l1s.instr_read(b, hierarchy);
-    }
-    for b in raster.framebuffer_blocks(tile_index, grid.tile_size()) {
-        hierarchy.write_direct(b);
-    }
+    raster.each_texture_block(fragments, |b| l1s.texture_read(b, hierarchy));
+    raster.each_instruction_block(|b| l1s.instr_read(b, hierarchy));
+    raster.each_framebuffer_block(tile_index, grid.tile_size(), |b| hierarchy.write_direct(b));
 }
 
 /// Assembles the final report from the run's parts.

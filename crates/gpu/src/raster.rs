@@ -83,11 +83,18 @@ impl RasterTraffic {
     /// neighbours / recently used mip blocks) and the rest jumping within
     /// the footprint.
     pub fn texture_blocks(&mut self, fragments: f64) -> Vec<BlockAddr> {
+        let mut out = Vec::new();
+        self.each_texture_block(fragments, |b| out.push(b));
+        out
+    }
+
+    /// [`Self::texture_blocks`], handing each block to `visit` in order
+    /// instead of collecting them.
+    pub fn each_texture_block(&mut self, fragments: f64, mut visit: impl FnMut(BlockAddr)) {
         let footprint_blocks = (self.params.texture_footprint_bytes / LINE_SIZE).max(1);
         let shaded = fragments * (1.0 - self.params.z_kill_rate);
         let quads = (shaded / 4.0).ceil() as u64;
         let fetches = (quads as f64 * self.params.texel_fetches_per_quad).round() as u64;
-        let mut out = Vec::with_capacity(fetches as usize);
         for _ in 0..fetches {
             // 85% of fetches land in the sliding bilinear/mip window and
             // are absorbed by the L1 texture caches; the rest jump within
@@ -96,16 +103,21 @@ impl RasterTraffic {
             // little L2-level reuse once the L1s have filtered it.
             let local: bool = self.rng.random_bool(0.85);
             let block = if local {
-                // Window of 64 blocks (4 KiB) around the current base.
-                (self.window_block + self.rng.random_range(0..64)) % footprint_blocks
+                // Window of 64 blocks (4 KiB) around the current base,
+                // wrapped into the footprint (a division only on wrap).
+                let b = self.window_block + self.rng.random_range(0..64);
+                if b >= footprint_blocks {
+                    b % footprint_blocks
+                } else {
+                    b
+                }
             } else {
                 self.rng.random_range(0..footprint_blocks)
             };
-            out.push(Address(bases::TEXTURES + block * LINE_SIZE).block());
+            visit(Address(bases::TEXTURES + block * LINE_SIZE).block());
         }
         // Slide the window: neighbouring tiles sample nearby texture.
         self.window_block = (self.window_block + 16) % footprint_blocks;
-        out
     }
 
     /// Instruction-fetch block addresses for one tile: each fragment
@@ -113,22 +125,41 @@ impl RasterTraffic {
     /// shader footprint — we emit one walk per tile (further iterations
     /// hit in the L1 I-cache and never reach the shared L2).
     pub fn instruction_blocks(&self) -> Vec<BlockAddr> {
+        let mut out = Vec::new();
+        self.each_instruction_block(|b| out.push(b));
+        out
+    }
+
+    /// [`Self::instruction_blocks`], handing each block to `visit`.
+    pub fn each_instruction_block(&self, visit: impl FnMut(BlockAddr)) {
         let blocks = self.params.shader_footprint_bytes.div_ceil(LINE_SIZE);
         (0..blocks)
             .map(|b| Address(bases::INSTRUCTIONS + b * LINE_SIZE).block())
-            .collect()
+            .for_each(visit);
     }
 
     /// Color-buffer flush for one `tile_size`×`tile_size` tile: the
     /// on-chip Color Buffer writes every pixel once to the Frame Buffer in
     /// main memory (bypassing the L2, per Fig. 2).
     pub fn framebuffer_blocks(&self, tile_index: usize, tile_size: u32) -> Vec<BlockAddr> {
+        let mut out = Vec::new();
+        self.each_framebuffer_block(tile_index, tile_size, |b| out.push(b));
+        out
+    }
+
+    /// [`Self::framebuffer_blocks`], handing each block to `visit`.
+    pub fn each_framebuffer_block(
+        &self,
+        tile_index: usize,
+        tile_size: u32,
+        visit: impl FnMut(BlockAddr),
+    ) {
         let bytes = tile_size as u64 * tile_size as u64 * self.params.bytes_per_pixel as u64;
         let blocks = bytes / LINE_SIZE;
         let base = bases::FRAME_BUFFER + tile_index as u64 * bytes;
         (0..blocks)
             .map(|b| Address(base + b * LINE_SIZE).block())
-            .collect()
+            .for_each(visit);
     }
 
     /// Shader work estimate for the energy model: executed instructions

@@ -9,6 +9,7 @@
 
 use crate::orchestrate::calibrated_scene;
 use crate::output::{f3, Table};
+use crate::suite::opt_checked;
 use tcor::{SystemConfig, TcorSystem};
 use tcor_cache::policy::Opt;
 use tcor_cache::profile::simulate_policy;
@@ -24,7 +25,8 @@ use tcor_workloads::{primitive_trace, prims_capacity, suite};
 ///
 /// # Errors
 ///
-/// Propagates store corruption from the scene lookups.
+/// Propagates store corruption from the scene lookups; a TCOR frame
+/// failing the OPT self-check is corruption too.
 pub fn ablation(store: &ArtifactStore) -> TcorResult<Table> {
     let grid = TileGrid::new(1960, 768, 32);
     let order = Traversal::ZOrder.order(&grid);
@@ -47,23 +49,24 @@ pub fn ablation(store: &ArtifactStore) -> TcorResult<Table> {
         let rp = b.raster_params();
 
         // Full TCOR reference.
-        let tcor = TcorSystem::new(SystemConfig::paper_tcor_64k().with_raster(rp)).run_frame(scene);
+        let frame = |cfg: SystemConfig| opt_checked(TcorSystem::new(cfg).run_frame(scene));
+        let tcor = frame(SystemConfig::paper_tcor_64k().with_raster(rp))?;
         let reference = tcor.pb_l2_accesses() as f64;
 
         // D3: baseline (strided) list layout under the TCOR split caches.
         let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
         cfg.list_scheme = ListsScheme::Baseline;
-        let d3 = TcorSystem::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
+        let d3 = frame(cfg)?.pb_l2_accesses() as f64 / reference;
 
         // D2: write bypass disabled.
         let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
         cfg.attr_write_bypass = false;
-        let d2 = TcorSystem::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
+        let d2 = frame(cfg)?.pb_l2_accesses() as f64 / reference;
 
         // D5: modulo indexing in the Primitive Buffer.
         let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
         cfg.attr_indexing = Indexing::Modulo;
-        let d5 = TcorSystem::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
+        let d5 = frame(cfg)?.pb_l2_accesses() as f64 / reference;
 
         // D1: exact Belady vs hardware OPT Numbers on a 4-way,
         // 48 KiB-equivalent primitive-granularity cache.

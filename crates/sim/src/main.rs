@@ -51,7 +51,8 @@
 //!
 //! Exit codes: `0` success, `1` I/O error, `2` configuration error,
 //! `3` experiment/cell failure, `4` golden drift, `5` corruption
-//! (tampered golden or manifest).
+//! (tampered golden or manifest, or an Attribute Cache OPT self-check
+//! violation in any TCOR frame).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -69,8 +70,6 @@ use tcor_sim::{
 const EXIT_DRIFT: u8 = 4;
 /// Exit code for corruption (tampered golden or malformed manifest).
 const EXIT_CORRUPTION: u8 = 5;
-/// Exit code for a failed or skipped experiment.
-const EXIT_CELL_FAILURE: u8 = 3;
 
 fn usage() {
     eprintln!(
@@ -1398,15 +1397,21 @@ fn main() -> ExitCode {
     }
 
     if !outcome.all_ok() {
+        let failed = outcome.failed_ids();
         eprintln!(
             "run FAILED: {} experiment(s) did not complete",
-            outcome.failed_ids().len()
+            failed.len()
         );
+        for (id, reason) in &failed {
+            eprintln!("  {id}: {reason}");
+        }
         if let Some(summary) = &outcome.failure_summary {
             eprint!("{summary}");
         }
         eprintln!("(re-run with --resume to re-execute only the failed experiments)");
-        return ExitCode::from(EXIT_CELL_FAILURE);
+        // A corrupt experiment (an OPT self-check violation) outranks
+        // the plain cell-failure code.
+        return ExitCode::from(outcome.failure_kind().exit_code());
     }
     if let Some(path) = &trace_out {
         if let Err(e) = export_chrome_trace(&store, path) {

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use tcor::FrameReport;
-use tcor_common::{TcorError, TcorResult, TileGrid};
+use tcor_common::{ErrorKind, TcorError, TcorResult, TileGrid};
 use tcor_runner::{
     execute, execute_serial, ArtifactStore, ExecOptions, FaultPlan, JobCtx, JobGraph, JobId,
     JobOutcome, Telemetry,
@@ -193,6 +193,9 @@ pub enum ExperimentOutcome {
     Failed {
         /// The panic message or error rendering.
         message: String,
+        /// The returned error's class; [`ErrorKind::Execution`] for a
+        /// panic.
+        kind: ErrorKind,
     },
     /// Not attempted: an upstream scene/cell/suite job failed.
     Skipped {
@@ -238,13 +241,33 @@ impl RunOutcome {
             .iter()
             .filter_map(|(id, o)| match o {
                 ExperimentOutcome::Tables(_) => None,
-                ExperimentOutcome::Failed { message } => Some((id.clone(), message.clone())),
+                ExperimentOutcome::Failed { message, .. } => Some((id.clone(), message.clone())),
                 ExperimentOutcome::Skipped { dep_label } => Some((
                     id.clone(),
                     format!("skipped: dependency `{dep_label}` failed"),
                 )),
             })
             .collect()
+    }
+
+    /// The failure class of an incomplete run: [`ErrorKind::Corruption`]
+    /// if any experiment returned one (an OPT self-check violation, a
+    /// store key collision), otherwise [`ErrorKind::Execution`].
+    pub fn failure_kind(&self) -> ErrorKind {
+        let corrupt = self.experiments.iter().any(|(_, o)| {
+            matches!(
+                o,
+                ExperimentOutcome::Failed {
+                    kind: ErrorKind::Corruption,
+                    ..
+                }
+            )
+        });
+        if corrupt {
+            ErrorKind::Corruption
+        } else {
+            ErrorKind::Execution
+        }
     }
 }
 
@@ -419,11 +442,16 @@ pub fn run_experiments(
             // bare `None` as a failure rather than fabricating tables.
             JobOutcome::Completed(Ok(None)) => ExperimentOutcome::Failed {
                 message: "experiment job produced no tables".to_string(),
+                kind: ErrorKind::Execution,
             },
             JobOutcome::Completed(Err(e)) => ExperimentOutcome::Failed {
                 message: e.to_string(),
+                kind: e.kind(),
             },
-            JobOutcome::Failed { panic_msg } => ExperimentOutcome::Failed { message: panic_msg },
+            JobOutcome::Failed { panic_msg } => ExperimentOutcome::Failed {
+                message: panic_msg,
+                kind: ErrorKind::Execution,
+            },
             JobOutcome::Skipped { failed_dep } => ExperimentOutcome::Skipped {
                 dep_label: labels.get(failed_dep).cloned().unwrap_or_default(),
             },
@@ -542,8 +570,9 @@ mod tests {
         let out = run_experiments(&ids, &opts, &store, &t).unwrap();
         assert!(!out.all_ok());
         match &out.experiments[0].1 {
-            ExperimentOutcome::Failed { message } => {
+            ExperimentOutcome::Failed { message, kind } => {
                 assert!(message.contains("injected fault"), "{message}");
+                assert_eq!(*kind, tcor_common::ErrorKind::Execution);
             }
             other => panic!("expected table1 to fail, got {other:?}"),
         }
@@ -552,6 +581,7 @@ mod tests {
             "independent experiment must complete"
         );
         assert!(out.failure_summary.is_some());
+        assert_eq!(out.failure_kind(), tcor_common::ErrorKind::Execution);
         // The strict wrapper turns the same situation into an error.
         let err = run_experiments_strict(&ids, ExecMode::Serial, &store, &t);
         assert!(err.is_ok(), "no fault plan: strict path passes");

@@ -10,6 +10,7 @@
 
 use crate::orchestrate::calibrated_scene;
 use crate::output::Table;
+use crate::suite::opt_checked;
 use tcor::{BaselineSystem, SystemConfig, TcorSystem};
 use tcor_common::{TcorResult, TileGrid};
 use tcor_energy::EnergyModel;
@@ -21,7 +22,8 @@ use tcor_workloads::suite;
 ///
 /// # Errors
 ///
-/// Propagates store corruption from the scene lookup.
+/// Propagates store corruption from the scene lookup; a TCOR frame
+/// failing the OPT self-check is corruption too.
 pub fn scaling(store: &ArtifactStore) -> TcorResult<Table> {
     let grid = TileGrid::new(1960, 768, 32);
     let profile = suite()
@@ -52,7 +54,7 @@ pub fn scaling(store: &ArtifactStore) -> TcorResult<Table> {
         tcor_cfg.fragment_processors = procs;
 
         let base = BaselineSystem::new(base_cfg).run_frame(scene);
-        let tcor = TcorSystem::new(tcor_cfg).run_frame(scene);
+        let tcor = opt_checked(TcorSystem::new(tcor_cfg).run_frame(scene))?;
         let fb = model.evaluate(&base).fps(600_000_000);
         let ft = model.evaluate(&tcor).fps(600_000_000);
         // How much of the baseline's overlapped phase is fetch-bound:

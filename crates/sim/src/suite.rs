@@ -2,7 +2,7 @@
 //! Figures 14–24.
 
 use tcor::{BaselineSystem, FrameReport, SystemConfig, TcorSystem};
-use tcor_common::TileGrid;
+use tcor_common::{TcorError, TcorResult, TileGrid};
 use tcor_gpu::Scene;
 use tcor_workloads::{suite as benchmarks, BenchmarkProfile};
 
@@ -96,6 +96,24 @@ pub fn run_cell(profile: &BenchmarkProfile, scene: &Scene, cfg: &str) -> FrameRe
     }
 }
 
+/// Enforces the Attribute Cache's OPT self-check on a TCOR frame of a
+/// study outside the paper cells (sweep, ablation, traversal, scaling):
+/// an eviction that did not take the farthest-future eligible line
+/// makes the frame's numbers untrustworthy, so it is corruption.
+///
+/// # Errors
+///
+/// [`ErrorKind::Corruption`](tcor_common::ErrorKind::Corruption) when
+/// the frame counted any OPT violation.
+pub(crate) fn opt_checked(report: FrameReport) -> TcorResult<FrameReport> {
+    match report.attr_opt_violations {
+        0 => Ok(report),
+        n => Err(TcorError::corruption(format!(
+            "{n} Attribute Cache eviction(s) failed the OPT self-check"
+        ))),
+    }
+}
+
 /// Assembles a [`BenchmarkRun`] from a calibrated scene and a cell
 /// supplier (direct simulation here; the runner's memoized store in
 /// the orchestrated path).
@@ -161,6 +179,23 @@ mod tests {
         // The ablation (baseline L2) produces at least as many PB MM
         // writes as the full TCOR.
         assert!(run.tcor64.pb_mm_writes() <= run.tcor_nol2_64.pb_mm_writes());
+    }
+
+    #[test]
+    fn opt_self_check_violations_are_corruption() {
+        let grid = TileGrid::new(256, 256, 32);
+        let profile = tcor_workloads::suite()[9]; // GTr: smallest
+        let scene = tcor_workloads::generate_scene(&profile, &grid);
+        let clean = run_cell(&profile, &scene, "tcor64");
+        assert_eq!(clean.attr_opt_violations, 0);
+        assert!(opt_checked(clean.clone()).is_ok());
+        let tampered = FrameReport {
+            attr_opt_violations: 2,
+            ..clean
+        };
+        let err = opt_checked(tampered).unwrap_err();
+        assert_eq!(err.kind(), tcor_common::ErrorKind::Corruption);
+        assert!(err.to_string().contains("2 Attribute Cache eviction(s)"));
     }
 
     #[test]

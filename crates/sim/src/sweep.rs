@@ -9,6 +9,7 @@
 
 use crate::orchestrate::calibrated_scene;
 use crate::output::Table;
+use crate::suite::opt_checked;
 use tcor::{BaselineSystem, SystemConfig, TcorSystem};
 use tcor_common::{CacheParams, GpuConfig, TcorResult, TileCacheOrg, TileGrid, LINE_SIZE};
 use tcor_mem::L2Mode;
@@ -48,7 +49,8 @@ fn tcor_cfg(total_kib: u64) -> SystemConfig {
 ///
 /// # Errors
 ///
-/// Propagates store corruption from the scene lookups.
+/// Propagates store corruption from the scene lookups; a TCOR frame
+/// failing the OPT self-check is corruption too.
 pub fn sweep(store: &ArtifactStore) -> TcorResult<Table> {
     let grid = TileGrid::new(1960, 768, 32);
     let all = suite();
@@ -77,7 +79,8 @@ pub fn sweep(store: &ArtifactStore) -> TcorResult<Table> {
             let scene = &cal.scene;
             let rp = b.raster_params();
             let base = BaselineSystem::new(baseline_cfg(kib).with_raster(rp)).run_frame(scene);
-            let tcor = TcorSystem::new(tcor_cfg(kib).with_raster(rp)).run_frame(scene);
+            let tcor =
+                opt_checked(TcorSystem::new(tcor_cfg(kib).with_raster(rp)).run_frame(scene))?;
             row.push(base.pb_l2_accesses().to_string());
             row.push(tcor.pb_l2_accesses().to_string());
         }

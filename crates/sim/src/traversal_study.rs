@@ -12,6 +12,7 @@
 //! dead-line turnover; scanline stretches vertical neighbours far apart.
 
 use crate::output::{f3, Table};
+use crate::suite::opt_checked;
 use tcor::{SystemConfig, TcorSystem};
 use tcor_common::{TcorResult, Traversal};
 use tcor_runner::ArtifactStore;
@@ -21,7 +22,8 @@ use tcor_workloads::suite;
 ///
 /// # Errors
 ///
-/// Propagates store corruption from the scene lookups.
+/// Propagates store corruption from the scene lookups; a TCOR frame
+/// failing the OPT self-check is corruption too.
 pub fn traversal_study(store: &ArtifactStore) -> TcorResult<Table> {
     let grid = tcor_common::TileGrid::new(1960, 768, 32);
     let all = suite();
@@ -45,7 +47,7 @@ pub fn traversal_study(store: &ArtifactStore) -> TcorResult<Table> {
         ] {
             let mut cfg = SystemConfig::paper_tcor_64k().with_raster(b.raster_params());
             cfg.gpu.traversal = order;
-            let r = TcorSystem::new(cfg).run_frame(scene);
+            let r = opt_checked(TcorSystem::new(cfg).run_frame(scene))?;
             t.push_row(vec![
                 b.alias.to_string(),
                 name.to_string(),
