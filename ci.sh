@@ -179,26 +179,6 @@ if [ "$code" -ne 0 ]; then
 fi
 rm -f "$PORT_FILE" "$STREAM_OUT" "$OFFLINE_OUT"
 
-echo "== bench-stream smoke (streaming ingest + live snapshots, offline byte parity)"
-# The in-process streaming benchmark asserts the finished curve is
-# byte-identical to a whole-trace profiler run of the same synthetic
-# trace, takes live snapshots mid-ingest, and records the profiler's
-# window high-water against the session budgets.
-BENCH_STREAM_OUT=/tmp/tcor-ci-bench-stream.json
-rm -f "$BENCH_STREAM_OUT"
-"$TCOR_SIM" bench-stream "$BENCH_STREAM_OUT" --smoke 2>/dev/null
-for want in '"byte_identical_vs_offline":true' '"smoke":true'; do
-  if ! grep -q "$want" "$BENCH_STREAM_OUT"; then
-    echo "ci: FAIL: bench-stream record is missing $want" >&2
-    exit 1
-  fi
-done
-if grep -q '"snapshots":0' "$BENCH_STREAM_OUT"; then
-  echo "ci: FAIL: bench-stream took no live snapshots" >&2
-  exit 1
-fi
-rm -f "$BENCH_STREAM_OUT"
-
 echo "== restart-warm smoke (persistent cache survives a daemon restart)"
 # Two daemon generations over one --cache-dir. Generation 1 computes a
 # golden table into the persistent cache and dies; generation 2 must
@@ -276,29 +256,6 @@ fi
 rm -rf "$CACHE_DIR"
 rm -f "$PORT_FILE" "$SERVE_OUT" "$RESTART_OUT"
 
-echo "== bench-load smoke (open-loop load: keep-alive tiers + graceful shedding)"
-# A reduced run of the open-loop concurrent load generator: warm
-# keep-alive tiers must answer byte-identically to the offline CLI, and
-# a synchronized cold burst against a 1-worker / depth-2 daemon must
-# shed the overflow with 429 + X-Tcor-Retry-After-Ms — never a 5xx,
-# never a reset — then drain cleanly. The bench enforces all of that
-# internally (nonzero exit on any violation); the greps additionally
-# pin the written record.
-BENCH_LOAD_OUT=/tmp/tcor-ci-bench-load.json
-rm -f "$BENCH_LOAD_OUT"
-"$TCOR_SIM" bench-load "$BENCH_LOAD_OUT" --smoke 2>/dev/null
-for want in '"server_5xx":0' '"transport_errors":0' '"clean_drain":true'; do
-  if ! grep -q "$want" "$BENCH_LOAD_OUT"; then
-    echo "ci: FAIL: bench-load record is missing $want" >&2
-    exit 1
-  fi
-done
-if grep -q '"shed":0' "$BENCH_LOAD_OUT"; then
-  echo "ci: FAIL: the overload burst shed nothing" >&2
-  exit 1
-fi
-rm -f "$BENCH_LOAD_OUT"
-
 echo "== chaos (disk-fault schedule: breaker must open, probe, and close)"
 # A seeded disk-fault schedule (every read and write errors until its
 # budget runs out) against a cache-cap-1 daemon: the circuit breaker
@@ -315,9 +272,11 @@ echo "== chaos (kill/restart + serve faults: retried to byte-identical bodies)"
 # drops connections mid-body, corrupts responses (caught by the
 # X-Tcor-Body-Hash check), and stalls reads. The retrying client must
 # still get byte-identical bodies for every request, and the final
-# generation must drain to exit 0. Writes BENCH_chaos.json.
+# generation must drain to exit 0. Writes its run record to a scratch
+# path; the committed BENCH_chaos.json is refreshed intentionally with
+# `chaos ... --bench-out BENCH_chaos.json`.
 "$TCOR_SIM" chaos --seed 1337 --rounds 6 --kill-every 3 \
   --fault-spec 'serve/drop_conn=45@30,serve/corrupt_response=35,serve/stall_read=25@60' \
-  --retries 6 --backoff-ms 40 --bench-out BENCH_chaos.json 2>/dev/null
+  --retries 6 --backoff-ms 40 --bench-out /tmp/tcor-ci-bench-chaos.json 2>/dev/null
 
 echo "ci: all green"

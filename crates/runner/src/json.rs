@@ -1,7 +1,7 @@
 //! A minimal hand-rolled JSON reader/writer (the workspace builds
-//! offline, so no serde). Just enough for telemetry lines and the
-//! `BENCH_*.json` artifacts — including re-reading one to merge a new
-//! section in ([`Json::parse`]).
+//! offline, so no serde). Just enough for telemetry lines, the
+//! `BENCH_*.json` artifacts, and reading the daemon's JSON replies
+//! back ([`Json::parse`]).
 
 use std::fmt::Write as _;
 

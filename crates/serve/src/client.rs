@@ -1,21 +1,20 @@
-//! Blocking loopback HTTP client: CI probe, loadgen and chaos-harness
-//! substrate.
+//! Blocking loopback HTTP client: CI probe, stream-upload and
+//! chaos-harness substrate.
 //!
 //! [`HttpClient`] holds one keep-alive connection and frames responses
 //! by `Content-Length`, so successive requests ride the daemon's
 //! multiplexed event plane instead of paying a connect per request; a
 //! connection the server closed while idle is detected (EOF before any
 //! response byte) and replayed once on a fresh connection. Used by
-//! `tcor-sim serve-req` (the ci.sh smoke probe), `tcor-sim bench-serve`
-//! and `tcor-sim bench-load` (the deterministic load generators) and
-//! `tcor-sim chaos` (the torture loop). The retrying entry points,
-//! [`http_request_retrying`] / [`request_retrying`], are the
-//! client-side half of the chaos layer's resilience story: capped
-//! exponential backoff with seeded deterministic jitter, `Retry-After`
-//! honored on 429, and idempotent GETs retried on 5xx, transport
-//! failures, short reads and `X-Tcor-Body-Hash` mismatches — so a
-//! client survives a daemon being killed, restarted, or fault-injected
-//! mid-response.
+//! `tcor-sim serve-req` (the ci.sh smoke probe), `tcor-sim stream` (the
+//! chunked uploader), `tcor-sim chaos` (the torture loop) and the
+//! perfbench `serve` workload (the open-loop load generator).
+//! [`HttpClient::request_retrying`] is the client-side half of the
+//! chaos layer's resilience story: capped exponential backoff with
+//! seeded deterministic jitter, `Retry-After` honored on 429, and
+//! idempotent GETs retried on 5xx, transport failures, short reads and
+//! `X-Tcor-Body-Hash` mismatches — so a client survives a daemon being
+//! killed, restarted, or fault-injected mid-response.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -129,11 +128,6 @@ impl HttpClient {
         }
     }
 
-    /// The server address this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Whether a keep-alive connection is currently held.
     pub fn is_connected(&self) -> bool {
         self.stream.is_some()
@@ -153,6 +147,72 @@ impl HttpClient {
         body: Option<&str>,
     ) -> TcorResult<HttpReply> {
         self.request_inner(method, path, body).map_err(|(_, e)| e)
+    }
+
+    /// [`Self::request`] under a [`RetryPolicy`], reusing the held
+    /// keep-alive connection across attempts. Returns the reply plus
+    /// how many retries it took.
+    ///
+    /// Retried (budget permitting): connect failures (any method — no
+    /// bytes were sent), and for idempotent GETs also transport failures
+    /// mid-exchange, unparseable or integrity-failing replies
+    /// ([`HttpReply::validate`]) and 5xx statuses. A 429 is retried for
+    /// any method, waiting at least the server's `Retry-After` /
+    /// `X-Tcor-Retry-After-Ms` hint. A non-retryable (or
+    /// budget-exhausted) status is returned to the caller as a normal
+    /// reply, never an error.
+    ///
+    /// # Errors
+    ///
+    /// The last transport/validation error once the budget is exhausted.
+    pub fn request_retrying(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        policy: &RetryPolicy,
+    ) -> TcorResult<(HttpReply, u32)> {
+        let idempotent = method.eq_ignore_ascii_case("GET");
+        let mut attempt = 0u32;
+        loop {
+            let budget_left = attempt < policy.retries;
+            match self.request_inner(method, path, body) {
+                Ok(reply) => {
+                    if let Err(why) = reply.validate() {
+                        if idempotent && budget_left {
+                            std::thread::sleep(policy.delay(attempt));
+                            attempt += 1;
+                            continue;
+                        }
+                        return Err(TcorError::serve(format!(
+                            "invalid reply from {} {path}: {why}",
+                            self.addr
+                        )));
+                    }
+                    let retryable = reply.status == 429 || (reply.status >= 500 && idempotent);
+                    if retryable && budget_left {
+                        let mut wait = policy.delay(attempt);
+                        if reply.status == 429 {
+                            if let Some(hint) = reply.retry_after() {
+                                wait = wait.max(hint);
+                            }
+                        }
+                        std::thread::sleep(wait);
+                        attempt += 1;
+                        continue;
+                    }
+                    return Ok((reply, attempt));
+                }
+                Err((sent, e)) => {
+                    if budget_left && (idempotent || !sent) {
+                        std::thread::sleep(policy.delay(attempt));
+                        attempt += 1;
+                        continue;
+                    }
+                    return Err(e);
+                }
+            }
+        }
     }
 
     /// [`Self::request`], with the error carrying whether any request
@@ -374,11 +434,11 @@ fn parse_head_block(head: &str) -> TcorResult<(u16, Vec<(String, String)>)> {
     Ok((status, headers))
 }
 
-/// Retry tuning for [`http_request_retrying`].
+/// Retry tuning for [`HttpClient::request_retrying`].
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 = behave like
-    /// [`http_request`] plus reply validation).
+    /// [`HttpClient::request`] plus reply validation).
     pub retries: u32,
     /// Base backoff; attempt `n` waits ~`backoff * 2^n`, jittered.
     pub backoff: Duration,
@@ -422,119 +482,6 @@ impl RetryPolicy {
         let jitter = 0.5 + 0.5 * rng.random_f64();
         Duration::from_millis(((capped as f64) * jitter).round() as u64)
     }
-}
-
-/// Sends one `method path` request to `addr` ("127.0.0.1:8080") on a
-/// fresh connection and reads the full response.
-///
-/// # Errors
-///
-/// Serve-class errors for connect/transport failures, timeout expiry,
-/// or an unparseable response.
-pub fn http_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Duration,
-) -> TcorResult<HttpReply> {
-    HttpClient::new(addr, timeout).request(method, path, body)
-}
-
-/// [`HttpClient::request`] under a [`RetryPolicy`], reusing `client`'s
-/// keep-alive connection across attempts. Returns the reply plus how
-/// many retries it took.
-///
-/// Retried (budget permitting): connect failures (any method — no
-/// bytes were sent), and for idempotent GETs also transport failures
-/// mid-exchange, unparseable or integrity-failing replies
-/// ([`HttpReply::validate`]) and 5xx statuses. A 429 is retried for
-/// any method, waiting at least the server's `Retry-After` /
-/// `X-Tcor-Retry-After-Ms` hint. A non-retryable (or
-/// budget-exhausted) status is returned to the caller as a normal
-/// reply, never an error.
-///
-/// # Errors
-///
-/// The last transport/validation error once the budget is exhausted.
-pub fn request_retrying(
-    client: &mut HttpClient,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    policy: &RetryPolicy,
-) -> TcorResult<(HttpReply, u32)> {
-    let idempotent = method.eq_ignore_ascii_case("GET");
-    let mut attempt = 0u32;
-    loop {
-        let budget_left = attempt < policy.retries;
-        match client.request_inner(method, path, body) {
-            Ok(reply) => {
-                if let Err(why) = reply.validate() {
-                    if idempotent && budget_left {
-                        std::thread::sleep(policy.delay(attempt));
-                        attempt += 1;
-                        continue;
-                    }
-                    return Err(TcorError::serve(format!(
-                        "invalid reply from {} {path}: {why}",
-                        client.addr()
-                    )));
-                }
-                let retryable = reply.status == 429 || (reply.status >= 500 && idempotent);
-                if retryable && budget_left {
-                    let mut wait = policy.delay(attempt);
-                    if reply.status == 429 {
-                        if let Some(hint) = reply.retry_after() {
-                            wait = wait.max(hint);
-                        }
-                    }
-                    std::thread::sleep(wait);
-                    attempt += 1;
-                    continue;
-                }
-                return Ok((reply, attempt));
-            }
-            Err((sent, e)) => {
-                if budget_left && (idempotent || !sent) {
-                    std::thread::sleep(policy.delay(attempt));
-                    attempt += 1;
-                    continue;
-                }
-                return Err(e);
-            }
-        }
-    }
-}
-
-/// [`request_retrying`] on a single-use client (one call's attempts
-/// still share a keep-alive connection when the server cooperates).
-///
-/// # Errors
-///
-/// The last transport/validation error once the budget is exhausted.
-pub fn http_request_retrying(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Duration,
-    policy: &RetryPolicy,
-) -> TcorResult<(HttpReply, u32)> {
-    let mut client = HttpClient::new(addr, timeout);
-    request_retrying(&mut client, method, path, body, policy)
-}
-
-/// The `p`-th percentile (0–100) of `samples`, by nearest-rank on a
-/// sorted copy. Returns 0.0 for an empty slice.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
@@ -691,9 +638,9 @@ mod tests {
     fn retries_short_read_until_a_whole_reply_arrives() {
         let torn = b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\nonly half of".to_vec();
         let (addr, h) = stub(vec![torn, ok_with_hash("whole\n")]);
-        let (reply, retries) =
-            http_request_retrying(&addr, "GET", "/x", None, Duration::from_secs(5), &policy(3))
-                .unwrap();
+        let (reply, retries) = HttpClient::new(&addr, Duration::from_secs(5))
+            .request_retrying("GET", "/x", None, &policy(3))
+            .unwrap();
         assert_eq!((reply.status, retries), (200, 1));
         assert_eq!(reply.body, "whole\n");
         h.join().unwrap();
@@ -705,9 +652,9 @@ mod tests {
             b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nX-Tcor-Body-Hash: 0000000000000000\r\n\r\nabc"
                 .to_vec();
         let (addr, h) = stub(vec![corrupt, ok_with_hash("clean")]);
-        let (reply, retries) =
-            http_request_retrying(&addr, "GET", "/x", None, Duration::from_secs(5), &policy(2))
-                .unwrap();
+        let (reply, retries) = HttpClient::new(&addr, Duration::from_secs(5))
+            .request_retrying("GET", "/x", None, &policy(2))
+            .unwrap();
         assert_eq!((reply.status, retries), (200, 1));
         assert_eq!(reply.body, "clean");
         h.join().unwrap();
@@ -719,15 +666,9 @@ mod tests {
             .to_vec();
         let (addr, h) = stub(vec![shed, ok_with_hash("after backoff")]);
         let start = std::time::Instant::now();
-        let (reply, retries) = http_request_retrying(
-            &addr,
-            "POST",
-            "/x",
-            Some("body"),
-            Duration::from_secs(5),
-            &policy(2),
-        )
-        .unwrap();
+        let (reply, retries) = HttpClient::new(&addr, Duration::from_secs(5))
+            .request_retrying("POST", "/x", Some("body"), &policy(2))
+            .unwrap();
         assert_eq!(
             (reply.status, retries),
             (200, 1),
@@ -744,15 +685,9 @@ mod tests {
     fn non_idempotent_5xx_is_returned_not_retried() {
         let fail = b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\noops".to_vec();
         let (addr, h) = stub(vec![fail]);
-        let (reply, retries) = http_request_retrying(
-            &addr,
-            "POST",
-            "/x",
-            Some("body"),
-            Duration::from_secs(5),
-            &policy(5),
-        )
-        .unwrap();
+        let (reply, retries) = HttpClient::new(&addr, Duration::from_secs(5))
+            .request_retrying("POST", "/x", Some("body"), &policy(5))
+            .unwrap();
         assert_eq!((reply.status, retries), (500, 0));
         h.join().unwrap();
     }
@@ -761,9 +696,9 @@ mod tests {
     fn idempotent_5xx_and_budget_exhaustion_return_the_last_reply() {
         let fail = b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n".to_vec();
         let (addr, h) = stub(vec![fail.clone(), fail.clone(), fail]);
-        let (reply, retries) =
-            http_request_retrying(&addr, "GET", "/x", None, Duration::from_secs(5), &policy(2))
-                .unwrap();
+        let (reply, retries) = HttpClient::new(&addr, Duration::from_secs(5))
+            .request_retrying("GET", "/x", None, &policy(2))
+            .unwrap();
         assert_eq!(
             (reply.status, retries),
             (503, 2),
@@ -779,15 +714,9 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let err = http_request_retrying(
-            &addr,
-            "GET",
-            "/x",
-            None,
-            Duration::from_millis(200),
-            &policy(2),
-        )
-        .unwrap_err();
+        let err = HttpClient::new(&addr, Duration::from_millis(200))
+            .request_retrying("GET", "/x", None, &policy(2))
+            .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Serve);
     }
 
@@ -823,15 +752,5 @@ mod tests {
                 .collect::<Vec<_>>(),
             "different seeds decorrelate"
         );
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let s = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&s, 50.0), 5.0);
-        assert_eq!(percentile(&s, 95.0), 10.0);
-        assert_eq!(percentile(&s, 100.0), 10.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[3.0], 99.0), 3.0);
     }
 }

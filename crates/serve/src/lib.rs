@@ -51,10 +51,7 @@ pub mod server;
 pub mod signal;
 mod stream;
 
-pub use client::{
-    http_request, http_request_retrying, percentile, request_retrying, HttpClient, HttpReply,
-    RetryPolicy,
-};
+pub use client::{HttpClient, HttpReply, RetryPolicy};
 pub use coalesce::{FollowerHandle, Join, LeaderToken, Singleflight, Waited};
 pub use hist::LatencyHistogram;
 pub use http::{

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tcor_runner::Telemetry;
-use tcor_serve::{http_request, ApiBody, ApiCall, Backend, ServeConfig};
+use tcor_serve::{ApiBody, ApiCall, Backend, HttpClient, ServeConfig};
 
 /// Counts calls per canonical request and sleeps a configurable time,
 /// standing in for the simulator.
@@ -89,7 +89,9 @@ fn config(workers: usize, queue_depth: usize, deadline: Duration) -> ServeConfig
 }
 
 fn get(addr: &str, path: &str) -> tcor_serve::HttpReply {
-    http_request(addr, "GET", path, None, Duration::from_secs(10)).expect("request")
+    HttpClient::new(addr, Duration::from_secs(10))
+        .request("GET", path, None)
+        .expect("request")
 }
 
 fn metric(metrics_text: &str, path: &str) -> u64 {
@@ -155,7 +157,7 @@ fn identical_concurrent_requests_coalesce_to_one_compute() {
 
 /// With one worker and a one-slot queue, a burst must shed: refused
 /// requests get 429 with a Retry-After hint and never reach the
-/// backend.
+/// backend, and `POST /admin/shutdown` still drains the daemon after.
 #[test]
 fn full_queue_sheds_with_429_and_retry_after() {
     let backend = Arc::new(StubBackend::new(Duration::from_millis(300)));
@@ -212,8 +214,12 @@ fn full_queue_sheds_with_429_and_retry_after() {
         .map(|i| backend.calls_for(&format!("table/fig{i}")))
         .sum();
     assert_eq!(backend_calls, ok as u64, "shed work never ran");
-    server.stop();
-    server.wait();
+    // Right after shedding, the daemon still drains cleanly.
+    let bye = HttpClient::new(&addr, Duration::from_secs(5))
+        .request("POST", "/admin/shutdown", None)
+        .unwrap();
+    assert_eq!(bye.status, 200);
+    server.wait(); // joins accept + workers: must not hang
 }
 
 /// A request that overstays its deadline in the queue is answered 504
@@ -420,21 +426,16 @@ fn admin_shutdown_drains_and_exits() {
     .unwrap();
     let addr = server.addr().to_string();
     assert_eq!(get(&addr, "/v1/cell/GTr/base64").status, 200);
-    let bye = http_request(
-        &addr,
-        "POST",
-        "/admin/shutdown",
-        None,
-        Duration::from_secs(5),
-    )
-    .unwrap();
+    let bye = HttpClient::new(&addr, Duration::from_secs(5))
+        .request("POST", "/admin/shutdown", None)
+        .unwrap();
     assert_eq!(bye.status, 200);
     let spans = server.wait(); // joins accept + workers: must not hang
     assert_eq!(spans.len(), 1, "one API request answered");
     assert_eq!(spans[0].endpoint, "/v1/cell/GTr/base64");
     assert_eq!(spans[0].status, 200);
     // The daemon is really gone.
-    let after = http_request(&addr, "GET", "/health", None, Duration::from_millis(500));
+    let after = HttpClient::new(&addr, Duration::from_millis(500)).request("GET", "/health", None);
     assert!(after.is_err(), "port must be closed after shutdown");
     // The telemetry stream carries the serving timeline events.
     let mut jsonl = Vec::new();
@@ -466,7 +467,7 @@ fn many_keepalive_connections_coalesce_on_one_cold_key() {
             let addr = addr.clone();
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let mut client = tcor_serve::HttpClient::new(&addr, Duration::from_secs(10));
+                let mut client = HttpClient::new(&addr, Duration::from_secs(10));
                 barrier.wait();
                 let cold = client
                     .request("GET", "/v1/cell/GTr/base64", None)
@@ -596,7 +597,9 @@ fn stream_session_lifecycle_over_loopback() {
     let server = tcor_serve::start(config(2, 8, Duration::from_secs(10)), backend, None).unwrap();
     let addr = server.addr().to_string();
     let post = |path: &str, body: Option<&str>| {
-        http_request(&addr, "POST", path, body, Duration::from_secs(10)).expect("request")
+        HttpClient::new(&addr, Duration::from_secs(10))
+            .request("POST", path, body)
+            .expect("request")
     };
 
     let open = post("/v1/stream", Some("label=GTr"));
@@ -652,7 +655,9 @@ fn stream_failures_are_typed_4xx_never_5xx() {
     let server = tcor_serve::start(cfg, backend, None).unwrap();
     let addr = server.addr().to_string();
     let post = |path: &str, body: Option<&str>| {
-        http_request(&addr, "POST", path, body, Duration::from_secs(10)).expect("request")
+        HttpClient::new(&addr, Duration::from_secs(10))
+            .request("POST", path, body)
+            .expect("request")
     };
 
     // Unknown session -> 404.
@@ -725,17 +730,14 @@ fn oversize_bodies_are_rejected_from_the_head() {
     }
     // An admitted stream chunk *under* the cap still works even though
     // it exceeds the API-route cap.
-    let open = http_request(&addr, "POST", "/v1/stream", None, Duration::from_secs(10)).unwrap();
+    let open = HttpClient::new(&addr, Duration::from_secs(10))
+        .request("POST", "/v1/stream", None)
+        .unwrap();
     let id = stream_session_id(&open.body);
     let big = "R1\nR2\n".repeat(20_000); // ~120 KiB > 64 KiB API cap
-    let reply = http_request(
-        &addr,
-        "POST",
-        &format!("/v1/stream/{id}/chunk"),
-        Some(&big),
-        Duration::from_secs(10),
-    )
-    .unwrap();
+    let reply = HttpClient::new(&addr, Duration::from_secs(10))
+        .request("POST", &format!("/v1/stream/{id}/chunk"), Some(&big))
+        .unwrap();
     assert_eq!(reply.status, 200, "under-cap stream chunk admitted");
     let metrics = server.metrics_text();
     assert_eq!(metric(&metrics, "serve/body_rejected"), 2);

@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 use tcor_runner::Json;
-use tcor_serve::{http_request_retrying, request_retrying, HttpClient, HttpReply, RetryPolicy};
+use tcor_serve::{HttpClient, HttpReply, RetryPolicy};
 
 /// Parsed `tcor-sim chaos` flags.
 struct ChaosOpts {
@@ -142,7 +142,8 @@ impl Daemon {
     /// One retried GET over this generation's keep-alive connection;
     /// returns the reply plus the retries it took.
     fn get(&mut self, path: &str, policy: &RetryPolicy) -> Result<(HttpReply, u32), String> {
-        request_retrying(&mut self.client, "GET", path, None, policy)
+        self.client
+            .request_retrying("GET", path, None, policy)
             .map_err(|e| format!("GET {path}: {e}"))
     }
 }
@@ -352,15 +353,9 @@ fn torture(opts: &ChaosOpts, cache_dir: &Path, port_file: &Path) -> Result<(), S
     }
 
     // Graceful drain: the tortured daemon must still exit 0.
-    let (bye, _) = http_request_retrying(
-        &daemon.addr,
-        "POST",
-        "/admin/shutdown",
-        None,
-        Duration::from_secs(10),
-        &policy,
-    )
-    .map_err(|e| format!("shutdown request: {e}"))?;
+    let (bye, _) = HttpClient::new(daemon.addr.as_str(), Duration::from_secs(10))
+        .request_retrying("POST", "/admin/shutdown", None, &policy)
+        .map_err(|e| format!("shutdown request: {e}"))?;
     if bye.status != 200 {
         return Err(format!("shutdown -> {}", bye.status));
     }

@@ -27,7 +27,6 @@ pub mod ablation;
 pub mod chaos;
 pub mod example;
 pub mod figures;
-pub mod loadgen;
 pub mod misscurves;
 pub mod orchestrate;
 pub mod output;

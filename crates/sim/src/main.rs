@@ -17,7 +17,6 @@
 //!                                every suite cell; violations exit 5
 //! tcor-sim --trace-out FILE      export a Chrome trace of one traced frame
 //! tcor-sim trace <alias> FILE    export a benchmark's PB trace as CSV
-//! tcor-sim bench-runner          time serial vs parallel, write BENCH_runner.json
 //! tcor-sim bench-misscurves      time replay vs single-pass miss-curve engines,
 //!                                write BENCH_misscurves.json
 //! tcor-sim serve                 stand up the result-serving daemon on loopback
@@ -25,12 +24,6 @@
 //!                                byte-parity reference)
 //! tcor-sim serve-req ADDR M P    one-shot HTTP client (CI probe; exit 6 on
 //!                                a non-2xx answer)
-//! tcor-sim bench-serve           drive a loopback daemon cold/warm/burst,
-//!                                write BENCH_serve.json
-//! tcor-sim bench-load            open-loop concurrent load generator: warm
-//!                                latency tiers (1..2048 keep-alive conns)
-//!                                plus shedding under overload, merged into
-//!                                BENCH_serve.json
 //! tcor-sim chaos                 torture a child daemon under seeded fault
 //!                                injection and kill/restart cycles
 //! ```
@@ -62,9 +55,7 @@ use tcor_runner::{
     default_workers, FaultPlan, GoldenStatus, GoldenStore, Json, RunManifest, RunStatus, Telemetry,
 };
 use tcor_sim::orchestrate::ExecMode;
-use tcor_sim::{
-    run_experiments, run_experiments_strict, ExperimentOutcome, RunOptions, EXPERIMENTS,
-};
+use tcor_sim::{run_experiments, ExperimentOutcome, RunOptions, EXPERIMENTS};
 
 /// Exit code for golden drift (`--check` found mismatching tables).
 const EXIT_DRIFT: u8 = 4;
@@ -80,7 +71,6 @@ fn usage() {
     );
     eprintln!("       tcor-sim --trace-out <file>     export a Chrome trace of one traced frame");
     eprintln!("       tcor-sim trace <alias> <file>   export a PB trace as CSV");
-    eprintln!("       tcor-sim bench-runner [FILE]    serial-vs-parallel timing -> FILE");
     eprintln!(
         "       tcor-sim bench-misscurves [FILE] [--gate] replay-vs-single-pass timing -> FILE \
          (--gate: fail if any speedup < 1.0 or output drifts)"
@@ -100,22 +90,11 @@ fn usage() {
          [--label L] [--policy opt|lru] [--chunk-accesses N]  chunked trace upload -> final curve"
     );
     eprintln!(
-        "       tcor-sim bench-stream [FILE] [--smoke] [--seed S]  streaming ingest + live \
-         snapshot timings -> FILE"
-    );
-    eprintln!(
         "       tcor-sim cell <alias> <config> [--cache-dir DIR]  print one cell report as JSON"
     );
     eprintln!(
         "       tcor-sim serve-req <addr> <method> <path> [body] [--expect-cache TIER] \
          [--retries N] [--backoff-ms MS]  one-shot HTTP client"
-    );
-    eprintln!(
-        "       tcor-sim bench-serve [FILE]     cold/warm-mem/warm-disk serving timings -> FILE"
-    );
-    eprintln!(
-        "       tcor-sim bench-load [FILE] [--smoke] [--seed S]  open-loop concurrent load \
-         generator: warm latency tiers + shedding under overload, merged into FILE"
     );
     eprintln!(
         "       tcor-sim chaos [--seed S] [--fault-spec SPEC] [--kill-every N] [--rounds R] \
@@ -224,88 +203,6 @@ fn export_chrome_trace(
         path.display()
     );
     Ok(())
-}
-
-/// Rendered output, per-experiment wall times, total wall time.
-type TimedRun = (String, Vec<(String, f64)>, f64);
-
-/// Runs the whole experiment set once and returns the rendered output
-/// plus per-experiment wall times, for [`bench_runner`].
-fn timed_full_run(mode: ExecMode) -> tcor_common::TcorResult<TimedRun> {
-    let ids: Vec<String> = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    let store = tcor_runner::ArtifactStore::new();
-    let telemetry = Telemetry::new();
-    let results = run_experiments_strict(&ids, mode, &store, &telemetry)?;
-    let wall_ms = telemetry.elapsed_ms();
-    let mut rendered = String::new();
-    for (_, tables) in &results {
-        for t in tables {
-            rendered.push_str(&t.render());
-        }
-    }
-    let per_exp: Vec<(String, f64)> = telemetry
-        .records()
-        .into_iter()
-        .filter(|r| r.label.starts_with("exp:"))
-        .map(|r| (r.label["exp:".len()..].to_string(), r.wall_ms))
-        .collect();
-    Ok((rendered, per_exp, wall_ms))
-}
-
-/// `tcor-sim bench-runner [FILE]`: run the full experiment set serially
-/// and in parallel, assert bit-identical output, and record the timings
-/// as machine-readable JSON.
-fn bench_runner(path: &str) -> ExitCode {
-    let cores = default_workers();
-    eprintln!("bench-runner: serial pass...");
-    let (serial_out, serial_exps, serial_ms) = match timed_full_run(ExecMode::Serial) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench-runner: serial pass failed: {e}");
-            return exit_for(&e);
-        }
-    };
-    eprintln!("bench-runner: parallel pass ({cores} workers)...");
-    let (parallel_out, parallel_exps, parallel_ms) = match timed_full_run(ExecMode::Parallel(cores))
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench-runner: parallel pass failed: {e}");
-            return exit_for(&e);
-        }
-    };
-    if serial_out != parallel_out {
-        eprintln!("bench-runner: FATAL: parallel output differs from serial output");
-        return ExitCode::FAILURE;
-    }
-    let exps = |pairs: &[(String, f64)]| {
-        Json::Obj(
-            pairs
-                .iter()
-                .map(|(id, ms)| (id.clone(), Json::Float(*ms)))
-                .collect(),
-        )
-    };
-    let doc = Json::obj([
-        ("bench", Json::str("runner")),
-        ("cores", Json::UInt(cores as u64)),
-        ("serial_ms", Json::Float(serial_ms)),
-        ("parallel_ms", Json::Float(parallel_ms)),
-        ("speedup", Json::Float(serial_ms / parallel_ms)),
-        ("outputs_identical", Json::Bool(true)),
-        ("serial_experiment_ms", exps(&serial_exps)),
-        ("parallel_experiment_ms", exps(&parallel_exps)),
-    ]);
-    if let Err(e) = std::fs::write(path, doc.render() + "\n") {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "bench-runner: serial {serial_ms:.0}ms, parallel {parallel_ms:.0}ms on {cores} cores \
-         ({:.2}x), identical output -> {path}",
-        serial_ms / parallel_ms
-    );
-    ExitCode::SUCCESS
 }
 
 /// `tcor-sim bench-misscurves [FILE] [--gate]`: run every miss-curve
@@ -753,14 +650,8 @@ fn serve_req(args: &[String]) -> ExitCode {
     };
     let body = positional.get(3).map(|s| s.as_str());
     let policy = tcor_serve::RetryPolicy::new(retries, Duration::from_millis(backoff_ms), 0);
-    match tcor_serve::http_request_retrying(
-        addr,
-        method,
-        path,
-        body,
-        Duration::from_secs(120),
-        &policy,
-    ) {
+    let mut client = tcor_serve::HttpClient::new(addr.as_str(), Duration::from_secs(120));
+    match client.request_retrying(method, path, body, &policy) {
         Ok((reply, attempts)) => {
             if attempts > 0 {
                 eprintln!("serve-req: {method} {path} took {attempts} retr(ies)");
@@ -786,284 +677,6 @@ fn serve_req(args: &[String]) -> ExitCode {
     }
 }
 
-/// `tcor-sim bench-serve [FILE]`: drive an in-process daemon through a
-/// cold phase (every target computes), a warm phase (every target is a
-/// memory-tier hit, asserted byte-identical to cold), and a coalescing
-/// burst (8 concurrent clients on one uncached key); then *restart* the
-/// daemon over the same persistent cache directory and measure the
-/// disk-tier first hits — three latency tiers (cold / warm-disk /
-/// warm-mem) recorded as machine-readable JSON.
-fn bench_serve(path: &str) -> ExitCode {
-    use std::sync::Arc;
-    use std::time::Instant;
-    use tcor_serve::percentile;
-
-    let cache_dir = std::env::temp_dir().join(format!("tcor-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let backend = Arc::new(tcor_sim::SimBackend::new());
-    let cfg = tcor_serve::ServeConfig {
-        port: 0,
-        workers: 4,
-        queue_depth: 64,
-        cache_cap: 256,
-        deadline: Duration::from_secs(600),
-        cache_dir: Some(cache_dir.clone()),
-        cache_disk_bytes: 256 << 20,
-        ..tcor_serve::ServeConfig::default()
-    };
-    let server = match tcor_serve::start(cfg.clone(), backend, None) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bench-serve: {e}");
-            return exit_for(&e);
-        }
-    };
-    let addr = server.addr().to_string();
-    // Every target runs real simulation work cold (a full-system cell
-    // or a trace-profiling sweep), so cold-vs-warm measures the cache,
-    // not loopback overhead.
-    let targets = [
-        "/v1/cell/GTr/base64",
-        "/v1/cell/GTr/tcor64",
-        "/v1/cell/SoD/base64",
-        "/v1/cell/SoD/tcor64",
-        "/v1/misscurve/SoD/opt",
-    ];
-    let request = |addr: &str, path: &str| -> tcor_common::TcorResult<(f64, String, String)> {
-        let t0 = Instant::now();
-        let reply = tcor_serve::http_request(addr, "GET", path, None, Duration::from_secs(600))?;
-        if reply.status != 200 {
-            return Err(TcorError::serve(format!("GET {path} -> {}", reply.status)));
-        }
-        let tier = reply
-            .header("x-tcor-cache")
-            .unwrap_or("<absent>")
-            .to_string();
-        Ok((t0.elapsed().as_secs_f64() * 1e3, reply.body, tier))
-    };
-
-    eprintln!("bench-serve: cold phase ({} targets)...", targets.len());
-    let mut cold = Vec::new();
-    let mut cold_bodies = Vec::new();
-    for t in targets {
-        match request(&addr, t) {
-            Ok((ms, body, _)) => {
-                cold.push(ms);
-                cold_bodies.push(body);
-            }
-            Err(e) => {
-                eprintln!("bench-serve: cold {t} failed: {e}");
-                return exit_for(&e);
-            }
-        }
-    }
-
-    const WARM_ROUNDS: usize = 10;
-    eprintln!(
-        "bench-serve: warm phase ({WARM_ROUNDS} rounds x {} targets)...",
-        targets.len()
-    );
-    let mut warm = Vec::new();
-    let warm_t0 = Instant::now();
-    for _ in 0..WARM_ROUNDS {
-        for (i, t) in targets.iter().enumerate() {
-            match request(&addr, t) {
-                Ok((ms, body, tier)) => {
-                    if body != cold_bodies[i] {
-                        eprintln!("bench-serve: FATAL: warm {t} differs from its cold body");
-                        return ExitCode::FAILURE;
-                    }
-                    if tier != "mem" {
-                        eprintln!("bench-serve: FATAL: warm {t} served from `{tier}`, not mem");
-                        return ExitCode::FAILURE;
-                    }
-                    warm.push(ms);
-                }
-                Err(e) => {
-                    eprintln!("bench-serve: warm {t} failed: {e}");
-                    return exit_for(&e);
-                }
-            }
-        }
-    }
-    let warm_wall_s = warm_t0.elapsed().as_secs_f64();
-
-    // Coalescing burst: 8 concurrent clients on a key nothing has
-    // computed yet — one simulation, seven followers.
-    let burst_target = "/v1/misscurve/GTr/srrip";
-    eprintln!("bench-serve: coalescing burst (8 clients on {burst_target})...");
-    let burst_ok = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| s.spawn(|| request(&addr, burst_target)))
-            .collect();
-        handles
-            .into_iter()
-            .all(|h| h.join().map(|r| r.is_ok()).unwrap_or(false))
-    });
-    if !burst_ok {
-        eprintln!("bench-serve: FATAL: a burst request failed");
-        return ExitCode::FAILURE;
-    }
-
-    let metrics = server.metrics_text();
-    let counter = |p: &str| -> u64 {
-        metrics
-            .lines()
-            .find_map(|l| l.strip_prefix(&format!("{p} = ")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    let (warm_hits, cold_computes) = (
-        counter("serve/cache_warm_hits"),
-        counter("serve/cold_computes"),
-    );
-    let coalesced = counter("serve/request_coalesced");
-    let bye = tcor_serve::http_request(
-        &addr,
-        "POST",
-        "/admin/shutdown",
-        None,
-        Duration::from_secs(10),
-    );
-    if !matches!(&bye, Ok(r) if r.status == 200) {
-        eprintln!("bench-serve: FATAL: shutdown request failed");
-        return ExitCode::FAILURE;
-    }
-    let spans = server.wait();
-
-    // Restart phase: a fresh daemon (fresh backend, empty memory tier)
-    // over the same cache directory. The first request per target must
-    // come back from the disk tier, byte-identical to its cold body —
-    // this is the persistence win the cache exists for, measured.
-    eprintln!(
-        "bench-serve: restart phase ({} disk-tier hits)...",
-        targets.len()
-    );
-    let backend2 = Arc::new(tcor_sim::SimBackend::new());
-    let server2 = match tcor_serve::start(cfg, backend2, None) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bench-serve: restart: {e}");
-            return exit_for(&e);
-        }
-    };
-    let addr2 = server2.addr().to_string();
-    let mut warm_disk = Vec::new();
-    for (i, t) in targets.iter().enumerate() {
-        match request(&addr2, t) {
-            Ok((ms, body, tier)) => {
-                if body != cold_bodies[i] {
-                    eprintln!("bench-serve: FATAL: restarted {t} differs from its cold body");
-                    return ExitCode::FAILURE;
-                }
-                if tier != "disk" {
-                    eprintln!("bench-serve: FATAL: restarted {t} served from `{tier}`, not disk");
-                    return ExitCode::FAILURE;
-                }
-                warm_disk.push(ms);
-            }
-            Err(e) => {
-                eprintln!("bench-serve: restart {t} failed: {e}");
-                return exit_for(&e);
-            }
-        }
-    }
-    let metrics2 = server2.metrics_text();
-    let counter2 = |p: &str| -> u64 {
-        metrics2
-            .lines()
-            .find_map(|l| l.strip_prefix(&format!("{p} = ")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    let disk_hits = counter2("serve/cache_disk_hits");
-    // The degradation ledger: on a healthy offline run every one of
-    // these is expected to stay 0 / closed, and recording them makes a
-    // regression (silent disk errors, a stuck-open breaker) visible as
-    // a BENCH_serve.json diff.
-    let pcache_io_errors = counter("pcache/io_errors") + counter2("pcache/io_errors");
-    let evicted_corrupt = counter("pcache/evicted_corrupt") + counter2("pcache/evicted_corrupt");
-    let evicted_version = counter("pcache/evicted_version") + counter2("pcache/evicted_version");
-    let breaker_opens = counter("pcache/breaker_opens") + counter2("pcache/breaker_opens");
-    let degraded = counter("serve/degraded") + counter2("serve/degraded");
-    let bye2 = tcor_serve::http_request(
-        &addr2,
-        "POST",
-        "/admin/shutdown",
-        None,
-        Duration::from_secs(10),
-    );
-    if !matches!(&bye2, Ok(r) if r.status == 200) {
-        eprintln!("bench-serve: FATAL: restart shutdown request failed");
-        return ExitCode::FAILURE;
-    }
-    server2.wait();
-    let _ = std::fs::remove_dir_all(&cache_dir);
-
-    let (cold_p50, warm_p50) = (percentile(&cold, 50.0), percentile(&warm, 50.0));
-    let disk_p50 = percentile(&warm_disk, 50.0);
-    let speedup = cold_p50 / warm_p50.max(1e-9);
-    let disk_speedup = cold_p50 / disk_p50.max(1e-9);
-    let doc = Json::obj([
-        ("bench", Json::str("serve")),
-        (
-            "targets",
-            Json::Arr(targets.iter().map(|&t| Json::str(t)).collect()),
-        ),
-        ("requests", Json::UInt(spans.len() as u64)),
-        (
-            "cold_ms",
-            Json::obj([
-                ("p50", Json::Float(cold_p50)),
-                ("p95", Json::Float(percentile(&cold, 95.0))),
-                ("p99", Json::Float(percentile(&cold, 99.0))),
-            ]),
-        ),
-        (
-            "warm_mem_ms",
-            Json::obj([
-                ("p50", Json::Float(warm_p50)),
-                ("p95", Json::Float(percentile(&warm, 95.0))),
-                ("p99", Json::Float(percentile(&warm, 99.0))),
-            ]),
-        ),
-        (
-            "warm_disk_ms",
-            Json::obj([
-                ("p50", Json::Float(disk_p50)),
-                ("p95", Json::Float(percentile(&warm_disk, 95.0))),
-                ("p99", Json::Float(percentile(&warm_disk, 99.0))),
-            ]),
-        ),
-        ("warm_mem_speedup_p50", Json::Float(speedup)),
-        ("warm_disk_speedup_p50", Json::Float(disk_speedup)),
-        (
-            "warm_throughput_rps",
-            Json::Float(warm.len() as f64 / warm_wall_s),
-        ),
-        ("cache_warm_hits", Json::UInt(warm_hits)),
-        ("cache_disk_hits", Json::UInt(disk_hits)),
-        ("cold_computes", Json::UInt(cold_computes)),
-        ("coalesced_requests", Json::UInt(coalesced)),
-        ("pcache_io_errors", Json::UInt(pcache_io_errors)),
-        ("pcache_evicted_corrupt", Json::UInt(evicted_corrupt)),
-        ("pcache_evicted_version", Json::UInt(evicted_version)),
-        ("breaker_opens", Json::UInt(breaker_opens)),
-        ("degraded", Json::UInt(degraded)),
-        ("warm_equals_cold", Json::Bool(true)),
-        ("restart_equals_cold", Json::Bool(true)),
-    ]);
-    if let Err(e) = std::fs::write(path, doc.render() + "\n") {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "bench-serve: cold p50 {cold_p50:.1}ms, warm-mem p50 {warm_p50:.3}ms ({speedup:.0}x), \
-         warm-disk p50 {disk_p50:.3}ms ({disk_speedup:.0}x), {coalesced} coalesced -> {path}"
-    );
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("trace") {
@@ -1075,9 +688,6 @@ fn main() -> ExitCode {
             }
         };
     }
-    if args.first().map(String::as_str) == Some("bench-runner") {
-        return bench_runner(args.get(1).map_or("BENCH_runner.json", String::as_str));
-    }
     if args.first().map(String::as_str) == Some("bench-misscurves") {
         let rest = &args[1..];
         let gate = rest.iter().any(|a| a == "--gate");
@@ -1086,15 +696,6 @@ fn main() -> ExitCode {
             .find(|a| !a.starts_with("--"))
             .map_or("BENCH_misscurves.json", String::as_str);
         return bench_misscurves(path, gate);
-    }
-    if args.first().map(String::as_str) == Some("bench-serve") {
-        return bench_serve(args.get(1).map_or("BENCH_serve.json", String::as_str));
-    }
-    if args.first().map(String::as_str) == Some("bench-load") {
-        return tcor_sim::loadgen::bench_load_cmd(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench-stream") {
-        return tcor_sim::streamcli::bench_stream_cmd(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("stream") {
         return tcor_sim::streamcli::stream_cmd(&args[1..]);

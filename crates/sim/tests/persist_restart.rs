@@ -8,22 +8,19 @@
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-use tcor_serve::{http_request, HttpReply, ServeConfig};
+use tcor_serve::{HttpClient, HttpReply, ServeConfig};
 use tcor_sim::SimBackend;
 
 fn get(addr: &str, path: &str) -> HttpReply {
-    http_request(addr, "GET", path, None, Duration::from_secs(600)).expect("request")
+    HttpClient::new(addr, Duration::from_secs(600))
+        .request("GET", path, None)
+        .expect("request")
 }
 
 fn shutdown(addr: &str) {
-    let bye = http_request(
-        addr,
-        "POST",
-        "/admin/shutdown",
-        None,
-        Duration::from_secs(10),
-    )
-    .unwrap();
+    let bye = HttpClient::new(addr, Duration::from_secs(10))
+        .request("POST", "/admin/shutdown", None)
+        .unwrap();
     assert_eq!(bye.status, 200);
 }
 

@@ -7,11 +7,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tcor_runner::ArtifactStore;
-use tcor_serve::{http_request, HttpReply};
+use tcor_serve::{HttpClient, HttpReply};
 use tcor_sim::SimBackend;
 
 fn get(addr: &str, path: &str) -> HttpReply {
-    http_request(addr, "GET", path, None, Duration::from_secs(600)).expect("request")
+    HttpClient::new(addr, Duration::from_secs(600))
+        .request("GET", path, None)
+        .expect("request")
 }
 
 #[test]
@@ -41,14 +43,9 @@ fn serve_api_end_to_end_over_the_real_simulator() {
     assert_eq!(get(&addr, "/v1/cell/GTr/nope").status, 404);
     assert_eq!(get(&addr, "/v1/misscurve/GTr/clock").status, 404);
     assert_eq!(get(&addr, "/v1/table/fig99").status, 404);
-    let bad_run = http_request(
-        &addr,
-        "POST",
-        "/v1/run",
-        Some("workload=GTr"),
-        Duration::from_secs(10),
-    )
-    .unwrap();
+    let bad_run = HttpClient::new(&addr, Duration::from_secs(10))
+        .request("POST", "/v1/run", Some("workload=GTr"))
+        .unwrap();
     assert_eq!(bad_run.status, 400);
 
     // `/v1/table/fig10` is byte-identical to the CLI's CSV of the same
@@ -87,14 +84,9 @@ fn serve_api_end_to_end_over_the_real_simulator() {
     assert_eq!(warm.body, cell.body, "warm == cold, byte for byte");
 
     // `POST /v1/run` is the same computation under another spelling.
-    let run = http_request(
-        &addr,
-        "POST",
-        "/v1/run",
-        Some("config=base64&workload=GTr"),
-        Duration::from_secs(600),
-    )
-    .unwrap();
+    let run = HttpClient::new(&addr, Duration::from_secs(600))
+        .request("POST", "/v1/run", Some("config=base64&workload=GTr"))
+        .unwrap();
     assert_eq!(run.status, 200);
     assert_eq!(run.body, cell.body, "run spelling == cell spelling");
 
@@ -109,17 +101,12 @@ fn serve_api_end_to_end_over_the_real_simulator() {
     assert!(curve.body.contains("\"miss_ratio\":["));
 
     // Graceful shutdown: 200, drained, port closed.
-    let bye = http_request(
-        &addr,
-        "POST",
-        "/admin/shutdown",
-        None,
-        Duration::from_secs(10),
-    )
-    .unwrap();
+    let bye = HttpClient::new(&addr, Duration::from_secs(10))
+        .request("POST", "/admin/shutdown", None)
+        .unwrap();
     assert_eq!(bye.status, 200);
     let spans = server.wait();
     assert!(!spans.is_empty(), "request timeline recorded");
-    let after = http_request(&addr, "GET", "/health", None, Duration::from_millis(500));
+    let after = HttpClient::new(&addr, Duration::from_millis(500)).request("GET", "/health", None);
     assert!(after.is_err(), "port closed after shutdown");
 }
