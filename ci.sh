@@ -62,10 +62,13 @@ if [ "$code" -ne 5 ]; then
 fi
 
 echo "== fault-injection smoke (inject, then resume + golden check)"
-# Seed 42 deterministically panics one scene job: the run must contain
-# the failure (exit 3, the cell-failure code) while independent
-# experiments complete, and the clean resumed run must re-execute only
-# the missing experiments and still match the goldens bit-for-bit.
+# Seed 42 deterministically panics one scene job and one cell job
+# (scene:RoK, cell:CRa/tcor64): the run must contain the failures
+# (exit 3, the cell-failure code) while independent experiments
+# complete, the telemetry must attribute a failure to the injector (so
+# an unrelated panic cannot pass this stage), and the clean resumed run
+# must re-execute only the missing experiments and still match the
+# goldens bit-for-bit.
 SMOKE_MANIFEST=/tmp/tcor-ci-manifest.txt
 rm -f "$SMOKE_MANIFEST"
 set +e
@@ -76,6 +79,10 @@ code=$?
 set -e
 if [ "$code" -ne 3 ]; then
   echo "ci: FAIL: injected-fault run exited $code, expected 3 (cell failure)" >&2
+  exit 1
+fi
+if ! grep -q '"event":"job_failed".*"panic":"[^"]*injected fault' /tmp/tcor-ci-telemetry.jsonl; then
+  echo "ci: FAIL: injected-fault run exited 3 without an injected job_failed" >&2
   exit 1
 fi
 cargo run --release -q -p tcor-sim -- all --resume --check \

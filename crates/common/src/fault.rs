@@ -1,12 +1,10 @@
-//! Process-wide deterministic fault injection: the chaos layer's
-//! trigger side.
+//! Deterministic fault injection: the one trigger every injected fault
+//! in the process goes through.
 //!
-//! The runner's `FaultPlan` (PR 2) injects faults into *jobs* it
-//! schedules itself; this module generalizes the idea to any code
-//! path in the process. A [`FaultInjector`] is armed from a **seed**
-//! plus a **spec string** naming *fault points* — stable identifiers
-//! like `pcache/read` or `serve/drop_conn` that components ask about
-//! at the moment they are about to do the real operation:
+//! A [`FaultInjector`] is armed from a **seed** plus a **spec string**
+//! naming *fault points* — stable identifiers like `pcache/read`,
+//! `serve/drop_conn` or the runner's `job` that components ask about at
+//! the moment they are about to do the real operation:
 //!
 //! ```text
 //! spec     := clause [ "," clause ]*
@@ -22,16 +20,23 @@
 //! recovery). `serve/drop_conn=25@0` drops a quarter of responses
 //! after zero body bytes.
 //!
-//! Decisions are deterministic: the `n`-th ask at a given point rolls
-//! a xoshiro256++ stream keyed by `seed ^ fxhash64(point) ^ mix(n)`,
-//! so a fixed seed replays the same per-point fire pattern on every
-//! run regardless of thread interleaving across *different* points.
+//! Decisions are deterministic, in one of two ways:
 //!
-//! The injector is **process-wide and zero-cost when disarmed**: the
-//! global [`fire`] helper is a single relaxed atomic load on the
-//! disarmed path, so production binaries pay nothing. Components that
-//! need hermetic tests can hold their own injector instance instead
-//! of arming the global one.
+//! - [`fire`](FaultInjector::fire) — the `n`-th ask at a point rolls a
+//!   xoshiro256++ stream keyed by `seed ^ fxhash64(point) ^ mix(n)`, so
+//!   a fixed seed replays the same per-point fire pattern on every run
+//!   regardless of thread interleaving across *different* points.
+//! - [`fire_keyed`](FaultInjector::fire_keyed) — the ask names a stable
+//!   key (a job label, a write tag) and rolls `seed ^ fxhash64(point) ^
+//!   fxhash64(key)` with no ask counter, so a job's fault does not
+//!   depend on the worker schedule. A rule named `{point}/{key}`
+//!   (`job/scene:GTr=100`) targets one key.
+//!
+//! The process-wide injector is **zero-cost when disarmed**: the global
+//! [`fire`] helper is a single relaxed atomic load on the disarmed
+//! path, so production binaries pay nothing. Components that need
+//! hermetic tests (or, like the runner, a per-run schedule) hold their
+//! own injector instance instead of arming the global one.
 
 use crate::hash::fxhash64;
 use crate::rng::Xoshiro256pp;
@@ -59,6 +64,7 @@ struct PointState {
 }
 
 /// A seeded, spec-driven fault injector.
+#[derive(Debug)]
 pub struct FaultInjector {
     seed: u64,
     rules: Vec<Rule>,
@@ -71,7 +77,9 @@ impl FaultInjector {
     ///
     /// # Errors
     ///
-    /// A config error naming the malformed clause.
+    /// A config error naming the malformed clause, including an empty
+    /// point name or a point armed twice (whose second clause would
+    /// never be consulted).
     pub fn parse(seed: u64, spec: &str) -> TcorResult<Self> {
         let mut rules = Vec::new();
         for clause in spec.split(',') {
@@ -112,8 +120,19 @@ impl FaultInjector {
                     "fault rate {pct} in `{clause}` exceeds 100"
                 )));
             }
+            let point = point.trim();
+            if point.is_empty() {
+                return Err(TcorError::config(format!(
+                    "bad fault clause `{clause}`: empty point name"
+                )));
+            }
+            if rules.iter().any(|r: &Rule| r.point == point) {
+                return Err(TcorError::config(format!(
+                    "fault point `{point}` is armed twice (in `{clause}`)"
+                )));
+            }
             rules.push(Rule {
-                point: point.trim().to_string(),
+                point: point.to_string(),
                 pct,
                 arg,
                 limit,
@@ -158,6 +177,32 @@ impl FaultInjector {
         }
     }
 
+    /// Asks whether the fault at `point` fires for `key` (a job label,
+    /// a write tag); `Some(arg)` means it does. A rule named
+    /// `{point}/{key}` targets this one key and is consulted before the
+    /// plain `point` rule. The draw is a pure function of `(seed,
+    /// point, key)` — no ask counter — so the answer does not depend on
+    /// which keys or points were asked before; only a `#limit`, once
+    /// reached, silences the rule.
+    pub fn fire_keyed(&self, point: &str, key: &str) -> Option<u64> {
+        let target = format!("{point}/{key}");
+        let rule = (self.rules.iter().find(|r| r.point == target))
+            .or_else(|| self.rules.iter().find(|r| r.point == point))?;
+        let mut rng = Xoshiro256pp::seed_from_u64(
+            self.seed ^ fxhash64(point.as_bytes()) ^ fxhash64(key.as_bytes()),
+        );
+        if rng.random_range(0..100u64) >= rule.pct {
+            return None;
+        }
+        let mut state = self.lock();
+        let entry = state.entry(rule.point.clone()).or_default();
+        if rule.limit.is_some_and(|limit| entry.fired >= limit) {
+            return None;
+        }
+        entry.fired += 1;
+        Some(rule.arg)
+    }
+
     /// Per-point fire counts, sorted by point name. Points that are
     /// armed but never fired report 0, so an armed process's metrics
     /// always show which faults are live.
@@ -169,7 +214,6 @@ impl FaultInjector {
             .map(|r| (r.point.clone(), state.get(&r.point).map_or(0, |s| s.fired)))
             .collect();
         counts.sort();
-        counts.dedup();
         counts
     }
 
@@ -202,11 +246,6 @@ pub fn arm(injector: FaultInjector) {
 pub fn disarm() {
     ARMED.store(false, Ordering::SeqCst);
     *global().lock().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// Whether the process-wide injector is armed.
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
 }
 
 /// Asks the process-wide injector about `point`. Disarmed (the
@@ -250,6 +289,14 @@ mod tests {
         assert!(FaultInjector::parse(1, "p=x").is_err());
         assert!(FaultInjector::parse(1, "p=50@y").is_err());
         assert!(FaultInjector::parse(1, "p=50#z").is_err());
+        // A repeated point (its second clause would never be consulted)
+        // and an empty point are config errors; a targeted rule is
+        // neither.
+        for bad in ["p=10,p=50", "=50", "p=10, =50"] {
+            let err = FaultInjector::parse(1, bad).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Config, "{bad}");
+        }
+        assert!(FaultInjector::parse(1, "p=10,p/k=100").is_ok());
         // Empty spec arms nothing but is valid (a quiet injector).
         assert!(FaultInjector::parse(1, "").unwrap().fire("p").is_none());
     }
@@ -271,6 +318,56 @@ mod tests {
         let c = FaultInjector::parse(43, "p/x=30").unwrap();
         let zs: Vec<bool> = (0..200).map(|_| c.fire("p/x").is_some()).collect();
         assert_ne!(xs, zs, "a different seed reschedules");
+
+        // Keyed draws are a pure function of (seed, point, key).
+        let keyed = |inj: &FaultInjector, point: &str| -> Vec<bool> {
+            (0..1000)
+                .map(|i| inj.fire_keyed(point, &format!("cell:{i}")).is_some())
+                .collect()
+        };
+        assert_eq!(keyed(&a, "p/x"), keyed(&b, "p/x"), "same seed replays");
+        assert_ne!(keyed(&a, "p/x"), keyed(&c, "p/x"), "seed-sensitive");
+        assert_ne!(keyed(&a, "p/x"), keyed(&a, "p/y"), "point-sensitive");
+        // The runner's rates fault a small minority of jobs.
+        let jobs = FaultInjector::parse(7, "job=4,job_stall=8@20").unwrap();
+        let (panics, stalls) = (keyed(&jobs, "job"), keyed(&jobs, "job_stall"));
+        let panicked = panics.iter().filter(|&&p| p).count();
+        let faulted = panics
+            .iter()
+            .zip(&stalls)
+            .filter(|(p, s)| **p || **s)
+            .count();
+        assert!((10..100).contains(&panicked), "panics={panicked}");
+        assert!(faulted < 250, "faulted={faulted}");
+    }
+
+    #[test]
+    fn keyed_draws_ignore_ask_order_and_targets_win() {
+        let keys: Vec<String> = (0..100).map(|i| format!("exp:{i}")).collect();
+        let fresh = FaultInjector::parse(42, "job=30,io=30").unwrap();
+        let alone: Vec<_> = keys.iter().map(|k| fresh.fire_keyed("job", k)).collect();
+        // The same keys in reverse, each after asks for another key,
+        // another point and the counted `fire`.
+        let busy = FaultInjector::parse(42, "job=30,io=30").unwrap();
+        let mut interleaved: Vec<_> = (keys.iter().rev())
+            .map(|k| {
+                let _ = (busy.fire_keyed("job", "x"), busy.fire_keyed("io", k));
+                let _ = busy.fire("job");
+                busy.fire_keyed("job", k)
+            })
+            .collect();
+        interleaved.reverse();
+        assert_eq!(alone, interleaved, "a key's answer ignores ask order");
+        assert!(alone.contains(&None) && alone.contains(&Some(0)));
+
+        // `{point}/{key}` targets one key at one point, over the plain
+        // rule.
+        let inj = FaultInjector::parse(0, "job=0,job/cell:CCS/tcor64=100@9").unwrap();
+        assert_eq!(inj.fire_keyed("job", "cell:CCS/tcor64"), Some(9));
+        assert_eq!(inj.fire_keyed("job", "cell:CCS/base64"), None);
+        assert_eq!(inj.fire_keyed("io", "cell:CCS/tcor64"), None);
+        let counts = [("job", 0), ("job/cell:CCS/tcor64", 1)].map(|(p, n)| (p.to_string(), n));
+        assert_eq!(inj.snapshot(), counts);
     }
 
     #[test]
@@ -279,6 +376,10 @@ mod tests {
         let fired = (0..50).filter(|_| inj.fire("disk").is_some()).count();
         assert_eq!(fired, 4);
         assert_eq!(inj.snapshot(), vec![("disk".to_string(), 4)]);
+        // Keyed asks count against the same cap.
+        let inj = FaultInjector::parse(7, "disk=100#4").unwrap();
+        let fired = (0..50).filter(|i| inj.fire_keyed("disk", &i.to_string()).is_some());
+        assert_eq!(fired.count(), 4);
     }
 
     #[test]
@@ -287,13 +388,11 @@ mod tests {
         // test in this process.
         assert_eq!(fire("test/global-point"), None, "disarmed is quiet");
         arm(FaultInjector::parse(5, "test/global-point=100#2").unwrap());
-        assert!(armed());
         assert_eq!(fire("test/global-point"), Some(0));
         assert_eq!(fire("test/global-point"), Some(0));
         assert_eq!(fire("test/global-point"), None, "limit reached");
         assert_eq!(snapshot(), vec![("test/global-point".to_string(), 2)]);
         disarm();
-        assert!(!armed());
         assert!(snapshot().is_empty());
         assert_eq!(fire("test/global-point"), None);
     }

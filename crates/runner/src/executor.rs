@@ -14,24 +14,25 @@
 //! (pointing at the root failure), and every independent job still runs
 //! to completion — one bad cell never tears down the suite. An optional
 //! watchdog flags (but does not kill — `std` cannot cancel a thread)
-//! jobs that exceed a wall-time budget, and a [`FaultPlan`] can inject
-//! deterministic panics/stalls to exercise all of the above.
+//! jobs that exceed a wall-time budget, and a [`FaultInjector`], asked
+//! per job label ([`FaultInjector::fire_keyed`]), can inject
+//! deterministic panics (point `job`) and stalls of `@arg` ms (point
+//! `job_stall`) to exercise all of the above.
 //!
 //! Determinism: every job writes its outcome into its own id-indexed
 //! slot, so the returned report is ordered by [`JobId`] and
 //! bit-identical to [`execute_serial`] for deterministic jobs, whatever
 //! the schedule.
 
-use crate::fault::{FaultPlan, JobFault};
 use crate::job::{JobCtx, JobGraph, JobId};
 use crate::store::ArtifactStore;
 use crate::telemetry::Telemetry;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use tcor_common::{TcorError, TcorResult};
+use tcor_common::{FaultInjector, TcorError, TcorResult};
 
 /// Worker count the CLI defaults to: every hardware thread.
 pub fn default_workers() -> usize {
@@ -48,7 +49,7 @@ pub struct ExecOptions {
     pub job_timeout: Option<Duration>,
     /// Deterministic fault injection (panics/stalls keyed by job
     /// label); `None` in production runs.
-    pub fault_plan: Option<FaultPlan>,
+    pub fault_injector: Option<Arc<FaultInjector>>,
 }
 
 /// How one job ended.
@@ -192,6 +193,31 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A job body as stored in the executor: boxed, claimed exactly once.
 type BoxedTask<'g, T> = Box<dyn FnOnce(&JobCtx<'_>) -> T + Send + 'g>;
 
+/// Runs one job body under `catch_unwind`, first injecting the fault
+/// (if any) that `opts`' injector draws for `label`: an injected panic
+/// is contained exactly like an organic one.
+fn run_contained<T>(
+    work: BoxedTask<'_, T>,
+    ctx: &JobCtx<'_>,
+    label: &str,
+    opts: &ExecOptions,
+) -> std::thread::Result<T> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if let Some(injector) = &opts.fault_injector {
+            if injector.fire_keyed("job", label).is_some() {
+                panic!(
+                    "injected fault: panic in `{label}` (seed {})",
+                    injector.seed()
+                );
+            }
+            if let Some(ms) = injector.fire_keyed("job_stall", label) {
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+        }
+        work(ctx)
+    }))
+}
+
 struct Coord {
     /// Jobs sitting in some queue, not yet claimed.
     queued: usize,
@@ -316,25 +342,11 @@ impl<T> Shared<'_, '_, T> {
             self.finish(worker, job, JobOutcome::Failed { panic_msg: msg }, job + 1);
             return;
         };
-        let fault = self
-            .opts
-            .fault_plan
-            .as_ref()
-            .and_then(|p| p.job_fault(label).map(|f| (f, p.seed())));
         let ctx = JobCtx::new(self.store);
         self.telemetry.job_start(job, label, worker);
         let t0 = Instant::now();
         *Self::lock(&self.started[job]) = Some(t0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some((JobFault::Panic, seed)) => {
-                    panic!("injected fault: panic in `{label}` (plan seed {seed})")
-                }
-                Some((JobFault::Delay(d), _)) => std::thread::sleep(d),
-                None => {}
-            }
-            work(&ctx)
-        }));
+        let result = run_contained(work, &ctx, label, self.opts);
         let elapsed = t0.elapsed();
         *Self::lock(&self.started[job]) = None;
         if let Some(budget) = self.opts.job_timeout {
@@ -589,23 +601,10 @@ pub fn execute_serial<T>(
             outcomes.push(JobOutcome::Failed { panic_msg: msg });
             continue;
         };
-        let fault = opts
-            .fault_plan
-            .as_ref()
-            .and_then(|p| p.job_fault(label).map(|f| (f, p.seed())));
         let ctx = JobCtx::new(store);
         telemetry.job_start(i, label, 0);
         let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some((JobFault::Panic, seed)) => {
-                    panic!("injected fault: panic in `{label}` (plan seed {seed})")
-                }
-                Some((JobFault::Delay(d), _)) => std::thread::sleep(d),
-                None => {}
-            }
-            work(&ctx)
-        }));
+        let result = run_contained(work, &ctx, label, opts);
         let elapsed = t0.elapsed();
         if let Some(budget) = opts.job_timeout {
             if elapsed > budget {
@@ -856,7 +855,7 @@ mod tests {
     fn injected_fault_panics_the_targeted_job_only() {
         let counter = AtomicU64::new(0);
         let opts = ExecOptions {
-            fault_plan: Some(FaultPlan::panic_on("b")),
+            fault_injector: Some(Arc::new(FaultInjector::parse(0, "job/b=100").unwrap())),
             ..ExecOptions::default()
         };
         let store = ArtifactStore::new();

@@ -49,12 +49,13 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
-use tcor_common::{fxhash64, hash_hex, TcorError};
+use tcor_common::{fxhash64, hash_hex, FaultInjector, TcorError};
 use tcor_runner::{
-    default_workers, FaultPlan, GoldenStatus, GoldenStore, Json, RunManifest, RunStatus, Telemetry,
+    default_workers, GoldenStatus, GoldenStore, Json, RunManifest, RunStatus, Telemetry,
 };
-use tcor_sim::orchestrate::ExecMode;
+use tcor_sim::orchestrate::{ExecMode, INJECT_FAULTS_SPEC};
 use tcor_sim::{run_experiments, ExperimentOutcome, RunOptions, EXPERIMENTS};
 
 /// Exit code for golden drift (`--check` found mismatching tables).
@@ -359,12 +360,11 @@ fn bench_misscurves(path: &str, gate: bool) -> ExitCode {
 /// `tcor-sim serve`: stand up the result-serving daemon on loopback
 /// and block until `POST /admin/shutdown` or SIGINT/SIGTERM drains it.
 fn serve_cmd(args: &[String]) -> ExitCode {
-    use std::sync::Arc;
     let mut cfg = tcor_serve::ServeConfig::default();
     let mut telemetry_path: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut port_file: Option<PathBuf> = None;
-    let mut fault_seed: u64 = 0;
+    let mut fault_seed: Option<u64> = None;
     let mut fault_spec: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -420,7 +420,7 @@ fn serve_cmd(args: &[String]) -> ExitCode {
                 _ => return bad("milliseconds >= 1"),
             },
             "--fault-seed" => match value.parse::<u64>() {
-                Ok(seed) => fault_seed = seed,
+                Ok(seed) => fault_seed = Some(seed),
                 Err(_) => return bad("an integer seed"),
             },
             "--fault-spec" => fault_spec = Some(value.clone()),
@@ -451,8 +451,13 @@ fn serve_cmd(args: &[String]) -> ExitCode {
     // Arm the process-wide injector before any plane can touch disk or
     // sockets: the chaos harness forwards its schedule through these
     // flags, and the daemon runs it deterministically.
+    if fault_spec.is_none() && fault_seed.is_some() {
+        eprintln!("--fault-seed needs --fault-spec: a seed alone arms no fault point");
+        return ExitCode::from(2);
+    }
     if let Some(spec) = &fault_spec {
-        match tcor_common::FaultInjector::parse(fault_seed, spec) {
+        let fault_seed = fault_seed.unwrap_or(0);
+        match FaultInjector::parse(fault_seed, spec) {
             Ok(injector) => {
                 eprintln!("tcor-serve: fault injector armed (seed {fault_seed}, `{spec}`)");
                 tcor_common::fault::arm(injector);
@@ -732,7 +737,7 @@ fn main() -> ExitCode {
     let mut inject_audit_fault = false;
     let mut trace_out: Option<PathBuf> = None;
     let mut job_timeout: Option<Duration> = None;
-    let mut fault_plan: Option<FaultPlan> = None;
+    let mut fault_injector: Option<Arc<FaultInjector>> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -770,7 +775,11 @@ fn main() -> ExitCode {
                         }
                     },
                     "--inject-faults" => match value.parse::<u64>() {
-                        Ok(seed) => fault_plan = Some(FaultPlan::seeded(seed)),
+                        Ok(seed) => {
+                            let preset = FaultInjector::parse(seed, INJECT_FAULTS_SPEC)
+                                .expect("the --inject-faults preset parses");
+                            fault_injector = Some(Arc::new(preset));
+                        }
                         _ => {
                             eprintln!("--inject-faults needs an integer seed, got `{value}`");
                             return ExitCode::from(2);
@@ -858,7 +867,7 @@ fn main() -> ExitCode {
     let opts = RunOptions {
         mode,
         job_timeout,
-        fault_plan: fault_plan.clone(),
+        fault_injector: fault_injector.clone(),
     };
     let outcome = match run_experiments(&run_ids, &opts, &store, &telemetry) {
         Ok(o) => o,
@@ -869,8 +878,8 @@ fn main() -> ExitCode {
     };
 
     let mut golden = GoldenStore::new(&golden_dir);
-    if let Some(plan) = &fault_plan {
-        golden = golden.with_fault_plan(plan.clone());
+    if let Some(injector) = fault_injector {
+        golden = golden.with_fault_injector(injector);
     }
     let mut drifted = 0usize;
     let mut corrupt = 0usize;

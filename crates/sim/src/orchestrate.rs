@@ -27,10 +27,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use tcor::FrameReport;
-use tcor_common::{ErrorKind, TcorError, TcorResult, TileGrid};
+use tcor_common::{ErrorKind, FaultInjector, TcorError, TcorResult, TileGrid};
 use tcor_runner::{
-    execute, execute_serial, ArtifactStore, ExecOptions, FaultPlan, JobCtx, JobGraph, JobId,
-    JobOutcome, Telemetry,
+    execute, execute_serial, ArtifactStore, ExecOptions, JobCtx, JobGraph, JobId, JobOutcome,
+    Telemetry,
 };
 use tcor_workloads::synth::CalibratedScene;
 use tcor_workloads::{suite as benchmarks, BenchmarkProfile};
@@ -180,9 +180,16 @@ pub struct RunOptions {
     /// Wall-time budget per job; over-budget jobs are flagged by the
     /// watchdog (they are never killed — results stay deterministic).
     pub job_timeout: Option<Duration>,
-    /// Deterministic fault injection (`--inject-faults <seed>`).
-    pub fault_plan: Option<FaultPlan>,
+    /// Deterministic fault injection (`--inject-faults <seed>` arms
+    /// [`INJECT_FAULTS_SPEC`]).
+    pub fault_injector: Option<Arc<FaultInjector>>,
 }
+
+/// The fault schedule `tcor-sim all --inject-faults SEED` arms: 4% of
+/// jobs panic, 8% stall for 20 ms, and 10% of golden writes fail with
+/// an injected I/O error. Every draw is keyed by job label or write
+/// tag, so a seed replays the same faults whatever the schedule.
+pub const INJECT_FAULTS_SPEC: &str = "job=4,job_stall=8@20,io=10";
 
 /// How one requested experiment ended.
 #[derive(Clone, Debug)]
@@ -276,7 +283,7 @@ impl RunOutcome {
 /// [`ExecMode::Parallel`] independent cells and experiments run
 /// concurrently, and completed output is identical to
 /// [`ExecMode::Serial`]. A panicking job (organic or injected via
-/// [`RunOptions::fault_plan`]) fails its experiment and skips its
+/// [`RunOptions::fault_injector`]) fails its experiment and skips its
 /// dependents; independent experiments complete.
 ///
 /// # Errors
@@ -396,7 +403,7 @@ pub fn run_experiments(
     telemetry.enable_progress(g.len());
     let exec_opts = ExecOptions {
         job_timeout: opts.job_timeout,
-        fault_plan: opts.fault_plan.clone(),
+        fault_injector: opts.fault_injector.clone(),
     };
     // Tell the miss-curve engine how wide its sharded set dispatch may
     // fan out: serial runs stay strictly serial (bit-identity is then
@@ -559,11 +566,46 @@ mod tests {
     }
 
     #[test]
+    fn the_inject_faults_preset_panics_a_pinned_set_of_all_labels() {
+        // Every job label `tcor-sim all` schedules, tier by tier.
+        let profiles = benchmarks();
+        let mut labels: Vec<String> = profiles
+            .iter()
+            .map(|p| format!("scene:{}", p.alias))
+            .collect();
+        labels.push("traces:suite".into());
+        for p in &profiles {
+            labels.extend(
+                CELL_CONFIGS
+                    .iter()
+                    .map(|cfg| format!("cell:{}/{cfg}", p.alias)),
+            );
+        }
+        labels.push("suite:assemble".into());
+        labels.extend(crate::EXPERIMENTS.iter().map(|id| format!("exp:{id}")));
+        assert_eq!(labels.len(), 97);
+
+        let preset = FaultInjector::parse(42, INJECT_FAULTS_SPEC).unwrap();
+        let panicked: Vec<&str> = labels
+            .iter()
+            .filter(|l| preset.fire_keyed("job", l).is_some())
+            .map(String::as_str)
+            .collect();
+        // ci.sh's `all --inject-faults 42` smoke run depends on this
+        // set for its exit 3. `exp:fig13` needs the suite traces, which
+        // wait on the failed `scene:RoK`, so it is skipped before its
+        // fault can fire: the run reports exactly two `job_failed`.
+        assert_eq!(panicked, ["scene:RoK", "cell:CRa/tcor64", "exp:fig13"]);
+    }
+
+    #[test]
     fn an_injected_experiment_panic_is_contained() {
         let store = ArtifactStore::new();
         let t = Telemetry::new();
         let opts = RunOptions {
-            fault_plan: Some(FaultPlan::panic_on("exp:table1")),
+            fault_injector: Some(Arc::new(
+                FaultInjector::parse(0, "job/exp:table1=100").unwrap(),
+            )),
             ..RunOptions::default()
         };
         let ids = vec!["table1".to_string(), "fig10".to_string()];
@@ -584,6 +626,6 @@ mod tests {
         assert_eq!(out.failure_kind(), tcor_common::ErrorKind::Execution);
         // The strict wrapper turns the same situation into an error.
         let err = run_experiments_strict(&ids, ExecMode::Serial, &store, &t);
-        assert!(err.is_ok(), "no fault plan: strict path passes");
+        assert!(err.is_ok(), "no fault injector: strict path passes");
     }
 }

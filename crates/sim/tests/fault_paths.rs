@@ -9,8 +9,9 @@
 //!    previous baseline fully readable.
 
 use std::path::PathBuf;
-use tcor_common::{fxhash64, hash_hex};
-use tcor_runner::{ArtifactStore, FaultPlan, GoldenStatus, GoldenStore, RunManifest, Telemetry};
+use std::sync::Arc;
+use tcor_common::{fxhash64, hash_hex, FaultInjector};
+use tcor_runner::{ArtifactStore, GoldenStatus, GoldenStore, RunManifest, Telemetry};
 use tcor_sim::{run_experiments, ExperimentOutcome, RunOptions};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -28,6 +29,11 @@ fn csv_hash(csv: &str) -> String {
     hash_hex(fxhash64(csv.as_bytes()))
 }
 
+/// A quiet injector that fires only the targeted `spec` rule.
+fn injector(spec: &str) -> Arc<FaultInjector> {
+    Arc::new(FaultInjector::parse(0, spec).unwrap())
+}
+
 /// Scenario 1: panic one scene-calibration job. The experiment that
 /// consumes every scene is skipped (not panicked, not half-run), the
 /// scene-independent experiment completes, and the failure shows up
@@ -37,7 +43,7 @@ fn one_injected_panic_fails_one_job_and_skips_only_its_dependents() {
     let store = ArtifactStore::new();
     let telemetry = Telemetry::new();
     let opts = RunOptions {
-        fault_plan: Some(FaultPlan::panic_on("scene:GTr")),
+        fault_injector: Some(injector("job/scene:GTr=100")),
         ..RunOptions::default()
     };
     let out = run_experiments(&ids(&["scaling", "table1"]), &opts, &store, &telemetry).unwrap();
@@ -89,7 +95,7 @@ fn resume_recomputes_only_failed_experiments_and_matches_golden() {
     let store = ArtifactStore::new();
     let telemetry = Telemetry::new();
     let opts = RunOptions {
-        fault_plan: Some(FaultPlan::panic_on("exp:table1")),
+        fault_injector: Some(injector("job/exp:table1=100")),
         ..RunOptions::default()
     };
     let out = run_experiments(&all, &opts, &store, &telemetry).unwrap();
@@ -177,7 +183,7 @@ fn injected_io_error_during_golden_update_leaves_baseline_readable() {
     clean.update("t1", old).unwrap();
     assert!(clean.check("t1", old).is_match());
 
-    let faulty = GoldenStore::new(&dir).with_fault_plan(FaultPlan::fail_io_on("golden:t1"));
+    let faulty = GoldenStore::new(&dir).with_fault_injector(injector("io/golden:t1=100"));
     let err = faulty.update("t1", new).unwrap_err();
     assert!(err.to_string().contains("injected fault"), "{err}");
 
@@ -192,4 +198,33 @@ fn injected_io_error_during_golden_update_leaves_baseline_readable() {
     assert!(clean.check("t1", new).is_match());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fault seed without a spec arms nothing; the daemon refuses it as
+/// a config error (exit 2) before binding a port, instead of serving
+/// silently fault-free.
+#[test]
+fn serve_rejects_a_fault_seed_without_a_spec() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tcor-sim"))
+        .args(["serve", "--port", "0", "--fault-seed", "7"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // A regression would start serving and never exit: bound the wait.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`serve --fault-seed` without a spec did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--fault-spec"), "{stderr}");
 }
