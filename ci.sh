@@ -34,6 +34,16 @@ echo "== golden check (miss curves, single-pass engine)"
 cargo run --release -q -p tcor-sim -- fig1 fig11 fig12 fig13 fig13x --check \
   --telemetry /tmp/tcor-ci-telemetry.jsonl >/dev/null
 
+echo "== golden check (study frames sharing paper cells, parallel)"
+# The ablation, sweep, traversal and scaling studies memoize every
+# full-system frame under its configuration, so 22 of their frames are
+# the paper cells themselves. fig14 schedules the 60 cell jobs in the
+# same run: at the default worker count, study frames and cell jobs
+# race on the shared keys, and every table must still match the
+# goldens bit-for-bit. Drift exits 4.
+cargo run --release -q -p tcor-sim -- ablation sweep traversal scaling fig14 --check \
+  --telemetry /tmp/tcor-ci-telemetry.jsonl >/dev/null
+
 echo "== miss-curve engine regression gate"
 # Benchmarks the single-pass engine against the per-capacity replay on
 # every miss-curve experiment and fails if any speedup drops below

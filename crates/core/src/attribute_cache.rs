@@ -133,16 +133,26 @@ pub enum WriteResult {
     Bypassed,
 }
 
+/// The per-line fields only a resident line's own paths read; the
+/// valid/lock bits and the OPT Number live in the dense columns of
+/// [`AttributeCache`], which the policy and the self-check scan.
 #[derive(Clone, Copy, Debug, Default)]
 struct PbLine {
-    valid: bool,
-    lock: bool,
     dirty: bool,
     prim: PrimitiveId,
-    opt: TileRank,
     abp: u32,
     attr_count: u8,
 }
+
+/// `state` column: an empty line.
+const INVALID: u8 = 0;
+/// `state` column: resident and locked (pinned for the Rasterizer).
+const LOCKED: u8 = 1;
+/// `state` column: resident and unlocked — a replacement candidate.
+const CANDIDATE: u8 = 2;
+
+// The `opt` column stores saturated OPT Numbers as `u16`.
+const _: () = assert!(TileRank::OPT_MAX <= u16::MAX as u32);
 
 /// Incremental index over the replacement *candidates* (valid, unlocked
 /// lines) that answers the cache-wide questions of the policy in
@@ -236,12 +246,19 @@ impl VictimIndex {
 #[derive(Clone, Debug)]
 pub struct AttributeCache {
     cfg: AttributeCacheConfig,
+    /// Per line: [`INVALID`], [`LOCKED`] or [`CANDIDATE`]. With `opt`
+    /// this is the line state itself (structure of arrays), kept dense
+    /// so the self-check scans it at SIMD width.
+    state: Vec<u8>,
+    /// Per line: the 12-bit saturated OPT Number. Stale, not cleared,
+    /// once the line is invalid.
+    opt: Vec<u16>,
     lines: Vec<PbLine>,
     /// Attribute Buffer: next-entry links (the attribute payloads carry no
     /// information the simulator needs).
     ab_next: Vec<Option<u32>>,
     free: Vec<u32>,
-    /// The valid, unlocked lines, kept in step with `lines` at every
+    /// The candidate lines, kept in step with `state`/`opt` at every
     /// lock, unlock, OPT change, fill and eviction.
     index: VictimIndex,
     stats: AccessStats,
@@ -267,6 +284,8 @@ impl AttributeCache {
         assert!(cfg.ways > 0 && cfg.pb_lines.is_multiple_of(cfg.ways));
         AttributeCache {
             cfg,
+            state: vec![INVALID; cfg.pb_lines],
+            opt: vec![0; cfg.pb_lines],
             lines: vec![PbLine::default(); cfg.pb_lines],
             ab_next: vec![None; cfg.ab_entries],
             free: (0..cfg.ab_entries as u32).rev().collect(),
@@ -365,7 +384,12 @@ impl AttributeCache {
     fn find(&self, prim: PrimitiveId) -> Option<usize> {
         let set = self.set_of(prim);
         self.set_range(set)
-            .find(|&i| self.lines[i].valid && self.lines[i].prim == prim)
+            .find(|&i| self.state[i] != INVALID && self.lines[i].prim == prim)
+    }
+
+    /// Line `i`'s stored OPT Number.
+    fn rank(&self, i: usize) -> TileRank {
+        TileRank(u32::from(self.opt[i]))
     }
 
     fn alloc_chain(&mut self, count: u8) -> u32 {
@@ -392,16 +416,16 @@ impl AttributeCache {
     /// Makes the (empty) line `idx` resident: allocates its attribute
     /// chain and, unless it starts locked, enters it in the index.
     fn fill(&mut self, idx: usize, prim: PrimitiveId, attr_count: u8, opt: TileRank, lock: bool) {
-        debug_assert!(!self.lines[idx].valid);
+        debug_assert_eq!(self.state[idx], INVALID);
+        debug_assert!(opt.0 <= TileRank::OPT_MAX);
         let abp = self.alloc_chain(attr_count);
+        self.state[idx] = if lock { LOCKED } else { CANDIDATE };
+        self.opt[idx] = opt.0 as u16;
         self.lines[idx] = PbLine {
-            valid: true,
-            lock,
             // Read fills arrive locked and clean; Polygon List Builder
             // writes arrive unlocked and dirty.
             dirty: !lock,
             prim,
-            opt,
             abp,
             attr_count,
         };
@@ -415,12 +439,13 @@ impl AttributeCache {
 
     fn evict_line(&mut self, idx: usize) -> EvictedPrim {
         let line = self.lines[idx];
-        debug_assert!(line.valid && !line.lock);
-        self.index.remove(idx, line.opt, line.attr_count);
+        debug_assert_eq!(self.state[idx], CANDIDATE);
+        self.index.remove(idx, self.rank(idx), line.attr_count);
         if line.dirty {
             self.wb_blocks += line.attr_count as u64;
         }
         self.free_chain(line.abp);
+        self.state[idx] = INVALID;
         self.lines[idx] = PbLine::default();
         self.resident -= 1;
         EvictedPrim {
@@ -431,19 +456,19 @@ impl AttributeCache {
     }
 
     fn unlock_line(&mut self, idx: usize) {
-        let line = &mut self.lines[idx];
-        if line.lock {
-            line.lock = false;
+        if self.state[idx] == LOCKED {
+            self.state[idx] = CANDIDATE;
             self.locked_prims -= 1;
-            self.index.insert(idx, line.opt, line.attr_count);
+            self.index
+                .insert(idx, self.rank(idx), self.lines[idx].attr_count);
         }
     }
 
     /// The unlocked line in `set` with the greatest OPT Number, if any.
     fn best_victim(&self, set: usize) -> Option<usize> {
         self.set_range(set)
-            .filter(|&i| self.lines[i].valid && !self.lines[i].lock)
-            .max_by_key(|&i| self.lines[i].opt)
+            .filter(|&i| self.state[i] == CANDIDATE)
+            .max_by_key(|&i| self.opt[i])
     }
 
     /// OPT self-check over the set-scoped eviction: counts a violation if
@@ -451,33 +476,18 @@ impl AttributeCache {
     /// than the chosen victim. Re-derived with an independent scan, not
     /// the selection code — call *before* `evict_line`.
     fn audit_set_victim(&mut self, set: usize, chosen: usize) {
-        let chosen_opt = self.lines[chosen].opt;
-        let violated = self.set_range(set).any(|i| {
-            i != chosen
-                && self.lines[i].valid
-                && !self.lines[i].lock
-                && self.lines[i].opt > chosen_opt
-        });
-        if violated {
-            self.opt_violations += 1;
-        }
+        let range = self.set_range(set);
+        let bar = self.opt[chosen];
+        self.opt_violations += violations(&self.state[range.clone()], &self.opt[range], bar);
     }
 
     /// OPT self-check over a cache-wide eviction. `floor` restricts the
     /// eligible candidates (the write path may only evict lines strictly
     /// farther-future than the written primitive).
     fn audit_global_victim(&mut self, chosen: usize, floor: Option<TileRank>) {
-        let chosen_opt = self.lines[chosen].opt;
-        let violated = (0..self.lines.len()).any(|i| {
-            i != chosen
-                && self.lines[i].valid
-                && !self.lines[i].lock
-                && floor.is_none_or(|f| self.lines[i].opt > f)
-                && self.lines[i].opt > chosen_opt
-        });
-        if violated {
-            self.opt_violations += 1;
-        }
+        let floor = floor.map_or(0, |f| f.saturated().0 as u16);
+        let bar = self.opt[chosen].max(floor);
+        self.opt_violations += violations(&self.state, &self.opt, bar);
     }
 
     /// Frees Attribute Buffer space by evicting unlocked primitives
@@ -494,7 +504,7 @@ impl AttributeCache {
             let victim = self
                 .index
                 .victim()
-                .filter(|&i| floor.is_none_or(|f| self.lines[i].opt > f))
+                .filter(|&i| floor.is_none_or(|f| self.rank(i) > f))
                 .expect("feasibility checked");
             self.audit_global_victim(victim, floor);
             evicted.push(self.evict_line(victim));
@@ -517,13 +527,13 @@ impl AttributeCache {
         let set = self.set_of(prim);
         let line_idx = self
             .set_range(set)
-            .find(|&i| !self.lines[i].valid)
+            .find(|&i| self.state[i] == INVALID)
             .or_else(|| self.best_victim(set))?; // every line of the set locked
         if self.free.len() + self.index.held < attr_count as usize {
             return None; // locked primitives hold the buffer
         }
         let mut evicted = Vec::new();
-        if self.lines[line_idx].valid {
+        if self.state[line_idx] != INVALID {
             self.audit_set_victim(set, line_idx);
             evicted.push(self.evict_line(line_idx));
         }
@@ -549,13 +559,13 @@ impl AttributeCache {
         self.sample_occupancy();
         if let Some(idx) = self.find(prim) {
             self.stats.record_read(true);
-            let line = self.lines[idx];
-            if !line.lock {
-                self.index.remove(idx, line.opt, line.attr_count);
-                self.lines[idx].lock = true;
+            if self.state[idx] == CANDIDATE {
+                self.index
+                    .remove(idx, self.rank(idx), self.lines[idx].attr_count);
+                self.state[idx] = LOCKED;
                 self.locked_prims += 1;
             }
-            self.lines[idx].opt = opt_number;
+            self.opt[idx] = opt_number.0 as u16;
             self.stats.probes += 1;
             return ReadResult::Hit;
         }
@@ -613,14 +623,14 @@ impl AttributeCache {
         first_use: TileRank,
     ) -> Option<Vec<EvictedPrim>> {
         let set = self.set_of(prim);
-        let line_idx = match self.set_range(set).find(|&i| !self.lines[i].valid) {
+        let line_idx = match self.set_range(set).find(|&i| self.state[i] == INVALID) {
             Some(i) => i,
             // Full set: the best victim must be used strictly later than
             // this primitive; otherwise every line of the set is used no
             // later, and equality also bypasses.
             None => self
                 .best_victim(set)
-                .filter(|&v| self.lines[v].opt > first_use)?,
+                .filter(|&v| self.rank(v) > first_use)?,
         };
         // Attribute Buffer space: free entries plus those held by
         // unlocked primitives strictly farther-future than this write
@@ -629,7 +639,7 @@ impl AttributeCache {
             return None;
         }
         let mut evicted = Vec::new();
-        if self.lines[line_idx].valid {
+        if self.state[line_idx] != INVALID {
             self.audit_set_victim(set, line_idx);
             evicted.push(self.evict_line(line_idx));
         }
@@ -654,15 +664,15 @@ impl AttributeCache {
 
     /// The stored OPT Number of a resident primitive.
     pub fn peek_opt(&self, prim: PrimitiveId) -> Option<TileRank> {
-        self.find(prim).map(|i| self.lines[i].opt)
+        self.find(prim).map(|i| self.rank(i))
     }
 
     /// End of frame: evicts every resident primitive (unlocking first),
     /// returning them for dirty write-back accounting.
     pub fn drain(&mut self) -> Vec<EvictedPrim> {
         let mut out = Vec::new();
-        for i in 0..self.lines.len() {
-            if self.lines[i].valid {
+        for i in 0..self.state.len() {
+            if self.state[i] != INVALID {
                 self.unlock_line(i);
                 out.push(self.evict_line(i));
             }
@@ -671,6 +681,18 @@ impl AttributeCache {
         debug_assert_eq!(self.index.held, 0);
         out
     }
+}
+
+/// 1 if some [`CANDIDATE`] line holds an OPT Number above `bar`, else
+/// 0: a branch-free fold over every line with no early exit, so the
+/// compiler vectorizes it (a clean run scans every line anyway). The
+/// chosen victim itself never exceeds `bar`.
+fn violations(state: &[u8], opt: &[u16], bar: u16) -> u64 {
+    let opt = &opt[..state.len()];
+    let hit = state.iter().zip(opt).fold(0u8, |acc, (&s, &o)| {
+        acc | (u8::from(s == CANDIDATE) & u8::from(o > bar))
+    });
+    u64::from(hit)
 }
 
 #[cfg(test)]
@@ -848,7 +870,7 @@ mod tests {
         }
         // Every entry is either free or owned by exactly one resident.
         let owned: usize = (0..c.lines.len())
-            .filter(|&i| c.lines[i].valid)
+            .filter(|&i| c.state[i] != INVALID)
             .map(|i| c.lines[i].attr_count as usize)
             .sum();
         assert_eq!(owned + c.free_entries(), c.config().ab_entries);
@@ -962,5 +984,60 @@ mod tests {
         assert!(cfg.num_sets() > 0);
         let c = AttributeCache::new(cfg);
         assert_eq!(c.free_entries(), 768);
+    }
+
+    /// One fully-associative set holding prim 0 (OPT 5) and prim 1
+    /// (OPT 9), both unlocked; returns the cache and prim 0's line.
+    fn audit_fixture() -> (AttributeCache, usize) {
+        let mut c = cache(4, 4, 12);
+        c.write(PrimitiveId(0), 3, TileRank(5));
+        c.write(PrimitiveId(1), 3, TileRank(9));
+        let near = c.find(PrimitiveId(0)).unwrap();
+        (c, near)
+    }
+
+    #[test]
+    fn audits_count_a_non_maximal_victim() {
+        let (mut c, near) = audit_fixture();
+        let far = c.find(PrimitiveId(1)).unwrap();
+        c.audit_global_victim(far, None);
+        c.audit_set_victim(0, far);
+        assert_eq!(c.opt_violations(), 0, "the farthest line is a clean pick");
+        c.audit_global_victim(near, None);
+        assert_eq!(c.opt_violations(), 1);
+        c.audit_set_victim(0, near);
+        assert_eq!(c.opt_violations(), 2);
+    }
+
+    #[test]
+    fn the_global_audit_honours_the_floor() {
+        let (mut c, near) = audit_fixture();
+        // Only lines strictly above the floor were eligible: prim 1
+        // (OPT 9) is not above a floor of 9, so taking prim 0 was fine.
+        c.audit_global_victim(near, Some(TileRank(9)));
+        assert_eq!(c.opt_violations(), 0);
+        c.audit_global_victim(near, Some(TileRank(8)));
+        assert_eq!(c.opt_violations(), 1);
+    }
+
+    #[test]
+    fn audits_ignore_a_farther_future_locked_line() {
+        let (mut c, near) = audit_fixture();
+        assert_eq!(c.read(PrimitiveId(1), 3, TileRank(20)), ReadResult::Hit);
+        c.audit_global_victim(near, None);
+        c.audit_set_victim(0, near);
+        assert_eq!(c.opt_violations(), 0);
+    }
+
+    #[test]
+    fn audits_ignore_the_stale_opt_of_an_invalid_line() {
+        let (mut c, near) = audit_fixture();
+        let far = c.find(PrimitiveId(1)).unwrap();
+        c.evict_line(far);
+        // The freed slot keeps its old OPT Number in the column.
+        assert_eq!((c.state[far], c.opt[far]), (INVALID, 9));
+        c.audit_global_victim(near, None);
+        c.audit_set_victim(0, near);
+        assert_eq!(c.opt_violations(), 0);
     }
 }

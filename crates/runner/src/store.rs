@@ -209,9 +209,8 @@ impl ArtifactStore {
     /// (the persistent [`CacheKey`] keeps the raw identity, so other
     /// cache consumers still share entries). The salt matters: `f` may
     /// itself memoize intermediate artifacts in this same store, and a
-    /// caller's `key` can legitimately equal one of those inner keys —
-    /// the serve plane's canonical `cell/GTr/base64` identity hashes to
-    /// the very key the orchestrator files that cell's report under.
+    /// caller's `key` can legitimately equal one of those inner keys
+    /// (both are `fxhash64` of a textual identity, in one key space).
     /// Without the salt the leader would re-enter its own in-flight
     /// slot and deadlock (and the two values would collide as type
     /// confusion even if it didn't).
@@ -487,9 +486,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The serve plane's shape: the persisted wrapper's `key` equals a
-    /// key the computation itself memoizes under (the canonical
-    /// `cell/...` identity doubles as the orchestrator's cell key).
+    /// The persisted wrapper's `key` equals a key the computation
+    /// itself memoizes under.
     /// The salted slot must keep the inner call on its own slot —
     /// unsalted, this deadlocks a single thread forever.
     #[test]

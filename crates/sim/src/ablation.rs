@@ -7,19 +7,33 @@
 //!   layout, under the same split caches.
 //! * **D5** — XOR set indexing \[12\] vs modulo in the Primitive Buffer.
 
-use crate::orchestrate::calibrated_scene;
+use crate::orchestrate::{calibrated_scene, frame_report};
 use crate::output::{f3, Table};
 use crate::suite::opt_checked;
-use tcor::{SystemConfig, TcorSystem};
+use tcor::SystemConfig;
 use tcor_cache::policy::Opt;
 use tcor_cache::profile::simulate_policy;
 use tcor_cache::{AccessMeta, Cache, Indexing};
-use tcor_common::{CacheParams, TcorResult, TileGrid, Traversal};
-use tcor_gpu::bin_scene;
+use tcor_common::{CacheParams, TcorResult, TileGrid, Traversal, TraversalOrder};
+use tcor_gpu::{bin_scene, Scene};
 use tcor_pbuf::ListsScheme;
 use tcor_runner::ArtifactStore;
 use tcor_workloads::trace::opt_number_annotations;
-use tcor_workloads::{primitive_trace, prims_capacity, suite};
+use tcor_workloads::{primitive_trace, prims_capacity, suite, BenchmarkProfile};
+
+/// The full-system frames of one ablation row: the full TCOR reference,
+/// then D3 (baseline strided list layout under the TCOR split caches),
+/// D2 (write bypass disabled) and D5 (modulo Primitive Buffer indexing).
+pub(crate) fn ablation_configs(profile: &BenchmarkProfile) -> [SystemConfig; 4] {
+    let reference = SystemConfig::paper_tcor_64k().with_raster(profile.raster_params());
+    let mut d3 = reference.clone();
+    d3.list_scheme = ListsScheme::Baseline;
+    let mut d2 = reference.clone();
+    d2.attr_write_bypass = false;
+    let mut d5 = reference.clone();
+    d5.attr_indexing = Indexing::Modulo;
+    [reference, d3, d2, d5]
+}
 
 /// Runs all four ablations over the suite and tabulates the outcome.
 ///
@@ -45,54 +59,43 @@ pub fn ablation(store: &ArtifactStore) -> TcorResult<Table> {
     );
     for b in suite() {
         let cal = calibrated_scene(store, &b, &grid)?;
-        let scene = &cal.scene;
-        let rp = b.raster_params();
-
-        // Full TCOR reference.
-        let frame = |cfg: SystemConfig| opt_checked(TcorSystem::new(cfg).run_frame(scene));
-        let tcor = frame(SystemConfig::paper_tcor_64k().with_raster(rp))?;
-        let reference = tcor.pb_l2_accesses() as f64;
-
-        // D3: baseline (strided) list layout under the TCOR split caches.
-        let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
-        cfg.list_scheme = ListsScheme::Baseline;
-        let d3 = frame(cfg)?.pb_l2_accesses() as f64 / reference;
-
-        // D2: write bypass disabled.
-        let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
-        cfg.attr_write_bypass = false;
-        let d2 = frame(cfg)?.pb_l2_accesses() as f64 / reference;
-
-        // D5: modulo indexing in the Primitive Buffer.
-        let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
-        cfg.attr_indexing = Indexing::Modulo;
-        let d5 = frame(cfg)?.pb_l2_accesses() as f64 / reference;
-
-        // D1: exact Belady vs hardware OPT Numbers on a 4-way,
-        // 48 KiB-equivalent primitive-granularity cache.
-        let frame = bin_scene(scene, &grid, &order);
-        let trace = primitive_trace(&frame.binned, &order);
-        let cap = prims_capacity(48 << 10);
-        let lines = ((cap as u64 / 4).max(1)) * 4;
-        let params = CacheParams::new(lines, 1, 4, 1);
-        let exact = simulate_policy(&trace, params, Indexing::Modulo, Opt::new(), true);
-        // Hardware OPT Numbers: replay manually with the rank-based
-        // priorities.
-        let ranks = opt_number_annotations(&frame.binned, &order);
-        let mut hw = Cache::new(params, Indexing::Modulo, Opt::new());
-        for (a, nu) in trace.iter().zip(&ranks) {
-            hw.access(a.addr, a.kind, AccessMeta::next_use(*nu));
+        let mut pb_l2 = [0.0; 4];
+        for (slot, cfg) in pb_l2.iter_mut().zip(ablation_configs(&b)) {
+            let frame = opt_checked(frame_report(store, &b, &cal, &cfg)?)?;
+            *slot = frame.pb_l2_accesses() as f64;
         }
+        let [reference, d3, d2, d5] = pb_l2;
+        let (exact, hw) = d1_miss_ratios(&cal.scene, &grid, &order);
         t.push_row(vec![
             b.alias.to_string(),
-            f3(d3),
-            f3(d2),
-            f3(d5),
-            f3(exact.miss_ratio()),
-            f3(hw.stats().miss_ratio()),
+            f3(d3 / reference),
+            f3(d2 / reference),
+            f3(d5 / reference),
+            f3(exact),
+            f3(hw),
         ]);
     }
     Ok(t)
+}
+
+/// D1: the miss ratios of exact Belady and of the hardware OPT Numbers
+/// (12-bit next-tile ranks), in that order, on a 4-way,
+/// 48 KiB-equivalent primitive-granularity cache.
+fn d1_miss_ratios(scene: &Scene, grid: &TileGrid, order: &TraversalOrder) -> (f64, f64) {
+    let frame = bin_scene(scene, grid, order);
+    let trace = primitive_trace(&frame.binned, order);
+    let cap = prims_capacity(48 << 10);
+    let lines = ((cap as u64 / 4).max(1)) * 4;
+    let params = CacheParams::new(lines, 1, 4, 1);
+    let exact = simulate_policy(&trace, params, Indexing::Modulo, Opt::new(), true);
+    // Hardware OPT Numbers: replay manually with the rank-based
+    // priorities.
+    let ranks = opt_number_annotations(&frame.binned, order);
+    let mut hw = Cache::new(params, Indexing::Modulo, Opt::new());
+    for (a, nu) in trace.iter().zip(&ranks) {
+        hw.access(a.addr, a.kind, AccessMeta::next_use(*nu));
+    }
+    (exact.miss_ratio(), hw.stats().miss_ratio())
 }
 
 #[cfg(test)]
@@ -101,52 +104,20 @@ mod tests {
 
     #[test]
     fn ablation_table_covers_the_suite() {
-        // Run on one benchmark only (by building the table over the full
-        // suite would be slow in debug); instead assert the full function
-        // shape on the smallest benchmark via a scoped copy.
-        let t = ablation_single("GTr");
-        assert_eq!(t.rows.len(), 1);
-        let row = &t.rows[0];
-        // D1: the hardware OPT Number policy is close to exact Belady —
+        // The full table runs every suite benchmark through four
+        // full-system frames, too slow for a debug test; the D1 columns
+        // come from `d1_miss_ratios` alone, so check them on the
+        // smallest benchmark.
+        let grid = TileGrid::new(1960, 768, 32);
+        let order = Traversal::ZOrder.order(&grid);
+        let b = suite().into_iter().find(|b| b.alias == "GTr").unwrap();
+        let scene = tcor_workloads::generate_scene(&b, &grid);
+        let (exact, hw) = d1_miss_ratios(&scene, &grid, &order);
+        // The hardware OPT Number policy is close to exact Belady —
         // within a few percent of miss ratio.
-        let exact: f64 = row[4].parse().unwrap();
-        let hw: f64 = row[5].parse().unwrap();
         assert!(
             (hw - exact).abs() < 0.05,
             "OPT-number approximation drifted: {hw} vs {exact}"
         );
-    }
-
-    /// Single-benchmark version of [`ablation`] for tests.
-    fn ablation_single(alias: &str) -> Table {
-        let grid = TileGrid::new(1960, 768, 32);
-        let order = Traversal::ZOrder.order(&grid);
-        let b = suite().into_iter().find(|b| b.alias == alias).unwrap();
-        let mut t = Table::new(
-            "ablation",
-            "test",
-            &["bench", "d3", "d2", "d5", "exact", "hw"],
-        );
-        let scene = tcor_workloads::generate_scene(&b, &grid);
-        let frame = bin_scene(&scene, &grid, &order);
-        let trace = primitive_trace(&frame.binned, &order);
-        let cap = prims_capacity(48 << 10);
-        let lines = ((cap as u64 / 4).max(1)) * 4;
-        let params = CacheParams::new(lines, 1, 4, 1);
-        let exact = simulate_policy(&trace, params, Indexing::Modulo, Opt::new(), true);
-        let ranks = opt_number_annotations(&frame.binned, &order);
-        let mut hw = Cache::new(params, Indexing::Modulo, Opt::new());
-        for (a, nu) in trace.iter().zip(&ranks) {
-            hw.access(a.addr, a.kind, AccessMeta::next_use(*nu));
-        }
-        t.push_row(vec![
-            b.alias.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            f3(exact.miss_ratio()),
-            f3(hw.stats().miss_ratio()),
-        ]);
-        t
     }
 }

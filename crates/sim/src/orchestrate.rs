@@ -4,8 +4,9 @@
 //! inputs per experiment: every miss-curve figure rebuilt all ten suite
 //! traces, and every suite cell re-calibrated its scene. Here each
 //! experiment becomes a node of a dependency DAG whose shared inputs —
-//! calibrated scenes, the aggregated PB traces, the 60 full-system cell
-//! reports, the assembled [`SuiteRun`] — live in a content-addressed
+//! calibrated scenes, the aggregated PB traces, every full-system frame
+//! (the 60 paper cells and the study frames, in one key space), the
+//! assembled [`SuiteRun`] — live in a content-addressed
 //! [`ArtifactStore`], computed exactly once per process and shared
 //! across however many workers the executor runs.
 //!
@@ -22,11 +23,11 @@
 
 use crate::misscurves;
 use crate::output::Table;
-use crate::suite::{assemble_run, run_cell, SuiteRun, CELL_CONFIGS};
+use crate::suite::{assemble_run, cell_config, simulate_frame, SuiteRun, CELL_CONFIGS};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-use tcor::FrameReport;
+use tcor::{FrameReport, SystemConfig};
 use tcor_common::{ErrorKind, FaultInjector, TcorError, TcorResult, TileGrid};
 use tcor_runner::{
     execute, execute_serial, ArtifactStore, ExecOptions, JobCtx, JobGraph, JobId, JobOutcome,
@@ -56,8 +57,11 @@ fn scene_key(profile: &BenchmarkProfile, grid: &TileGrid) -> u64 {
     ))
 }
 
-fn cell_key(profile: &BenchmarkProfile, cfg: &str) -> u64 {
-    artifact_key(&format!("cell/{}/{cfg}", profile.alias))
+/// Store key of one full-system frame. `SystemConfig` derives neither
+/// `Eq` nor `Hash`; its `Debug` rendering names every field, so equal
+/// configurations share a key whichever study asks.
+fn frame_key(profile: &BenchmarkProfile, cfg: &SystemConfig) -> u64 {
+    artifact_key(&format!("frame/{}/{cfg:?}", profile.alias))
 }
 
 /// Store key of the aggregated suite PB traces
@@ -85,20 +89,41 @@ pub fn calibrated_scene(
     })
 }
 
-/// One full-system cell (benchmark × configuration), memoized.
+/// One full-system frame of `profile`'s calibrated scene under `cfg`,
+/// memoized by configuration: a study frame equal to a paper cell is
+/// that cell's report. Concurrent requests for one frame simulate it
+/// once.
 ///
 /// # Errors
 ///
 /// Propagates store corruption (key collision) as a typed error.
+pub fn frame_report(
+    store: &ArtifactStore,
+    profile: &BenchmarkProfile,
+    scene: &CalibratedScene,
+    cfg: &SystemConfig,
+) -> TcorResult<Arc<FrameReport>> {
+    store.get_or_compute(frame_key(profile, cfg), || {
+        simulate_frame(&scene.scene, cfg)
+    })
+}
+
+/// One full-system cell (benchmark × [`CELL_CONFIGS`] name), memoized
+/// through [`frame_report`].
+///
+/// # Errors
+///
+/// A config error for a name outside [`CELL_CONFIGS`]; store
+/// corruption (key collision) as a typed error.
 pub fn cell_report(
     store: &ArtifactStore,
     profile: &BenchmarkProfile,
     scene: &CalibratedScene,
     cfg: &str,
 ) -> TcorResult<Arc<FrameReport>> {
-    store.get_or_compute(cell_key(profile, cfg), || {
-        run_cell(profile, &scene.scene, cfg)
-    })
+    let config = cell_config(profile, cfg)
+        .ok_or_else(|| TcorError::config(format!("unknown cell config `{cfg}`")))?;
+    frame_report(store, profile, scene, &config)
 }
 
 /// The full Table II suite, assembled from memoized cells. Any cells
@@ -523,6 +548,62 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 2 * profiles.len());
+    }
+
+    #[test]
+    fn study_frames_share_keys_with_exactly_the_paper_cells_they_equal() {
+        use crate::{ablation, scaling, sweep, traversal_study};
+        use tcor_common::Traversal;
+        for p in &benchmarks() {
+            let cells: Vec<u64> = CELL_CONFIGS
+                .iter()
+                .map(|name| frame_key(p, &cell_config(p, name).unwrap()))
+                .collect();
+            let mut own = Vec::new();
+            let mut expect = |cfg: &SystemConfig, cell: Option<&str>| {
+                let key = frame_key(p, cfg);
+                let shared = cells.iter().position(|&k| k == key);
+                assert_eq!(
+                    shared.map(|i| CELL_CONFIGS[i]),
+                    cell,
+                    "{}: {cfg:?}",
+                    p.alias
+                );
+                if shared.is_none() {
+                    own.push(key);
+                }
+            };
+            let [reference, d3, d2, d5] = ablation::ablation_configs(p);
+            expect(&reference, Some("tcor64"));
+            for cfg in [d3, d2, d5] {
+                expect(&cfg, None);
+            }
+            let rp = p.raster_params();
+            for kib in sweep::BUDGETS_KIB {
+                let (base, tcor) = match kib {
+                    64 => (Some("base64"), Some("tcor64")),
+                    128 => (Some("base128"), Some("tcor128")),
+                    _ => (None, None),
+                };
+                expect(&sweep::baseline_cfg(kib).with_raster(rp), base);
+                expect(&sweep::tcor_cfg(kib).with_raster(rp), tcor);
+            }
+            for (order, _) in traversal_study::ORDERS {
+                let cell = (order == Traversal::ZOrder).then_some("tcor64");
+                expect(&traversal_study::order_config(p, order), cell);
+            }
+            for mult in scaling::MULTIPLIERS {
+                let [base, tcor] = scaling::scaled_configs(p, mult);
+                expect(&base, (mult == 1).then_some("base64"));
+                expect(&tcor, (mult == 1).then_some("tcor64"));
+            }
+            // D2/D3/D5, five budgets × 2, three orders, 2×/4×/8× × 2:
+            // each a key of its own.
+            assert_eq!(own.len(), 3 + 10 + 3 + 6);
+            own.sort_unstable();
+            own.dedup();
+            assert_eq!(own.len(), 22, "{}: two study configs share a key", p.alias);
+        }
     }
 
     #[test]

@@ -8,14 +8,28 @@
 //! baseline's slow Tile Fetcher becomes the frame-time bottleneck while
 //! TCOR keeps scaling.
 
-use crate::orchestrate::calibrated_scene;
+use crate::orchestrate::{calibrated_scene, frame_report};
 use crate::output::Table;
 use crate::suite::opt_checked;
-use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+use tcor::SystemConfig;
 use tcor_common::{TcorResult, TileGrid};
 use tcor_energy::EnergyModel;
 use tcor_runner::ArtifactStore;
-use tcor_workloads::suite;
+use tcor_workloads::{suite, BenchmarkProfile};
+
+/// Fragment-shading throughput multiples of the Table I configuration.
+pub(crate) const MULTIPLIERS: [u32; 4] = [1, 2, 4, 8];
+
+/// The baseline and TCOR configurations at `mult` times the Table I
+/// fragment processors.
+pub(crate) fn scaled_configs(profile: &BenchmarkProfile, mult: u32) -> [SystemConfig; 2] {
+    let rp = profile.raster_params();
+    let mut base = SystemConfig::paper_baseline_64k().with_raster(rp);
+    let mut tcor = SystemConfig::paper_tcor_64k().with_raster(rp);
+    base.fragment_processors = 4 * mult;
+    tcor.fragment_processors = 4 * mult;
+    [base, tcor]
+}
 
 /// FPS of baseline and TCOR as fragment-shading throughput scales
 /// (1×..8× the Table I configuration), on a raster-heavy benchmark.
@@ -31,8 +45,6 @@ pub fn scaling(store: &ArtifactStore) -> TcorResult<Table> {
         .find(|b| b.alias == "Snp")
         .expect("Snp in suite");
     let cal = calibrated_scene(store, &profile, &grid)?;
-    let scene = &cal.scene;
-    let rp = profile.raster_params();
     let model = EnergyModel::default();
 
     let mut t = Table::new(
@@ -46,15 +58,11 @@ pub fn scaling(store: &ArtifactStore) -> TcorResult<Table> {
             "baseline_fetch_bound_frac",
         ],
     );
-    for mult in [1u32, 2, 4, 8] {
-        let procs = 4 * mult;
-        let mut base_cfg = SystemConfig::paper_baseline_64k().with_raster(rp);
-        base_cfg.fragment_processors = procs;
-        let mut tcor_cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
-        tcor_cfg.fragment_processors = procs;
-
-        let base = BaselineSystem::new(base_cfg).run_frame(scene);
-        let tcor = opt_checked(TcorSystem::new(tcor_cfg).run_frame(scene))?;
+    for mult in MULTIPLIERS {
+        let [base_cfg, tcor_cfg] = scaled_configs(&profile, mult);
+        let procs = tcor_cfg.fragment_processors;
+        let base = frame_report(store, &profile, &cal, &base_cfg)?;
+        let tcor = opt_checked(frame_report(store, &profile, &cal, &tcor_cfg)?)?;
         let fb = model.evaluate(&base).fps(600_000_000);
         let ft = model.evaluate(&tcor).fps(600_000_000);
         // How much of the baseline's overlapped phase is fetch-bound:

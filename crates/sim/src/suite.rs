@@ -1,8 +1,9 @@
 //! Full-system runs over the benchmark suite — the shared substrate of
 //! Figures 14–24.
 
+use std::sync::Arc;
 use tcor::{BaselineSystem, FrameReport, SystemConfig, TcorSystem};
-use tcor_common::{TcorError, TcorResult, TileGrid};
+use tcor_common::{TcorError, TcorResult, TileCacheOrg, TileGrid};
 use tcor_gpu::Scene;
 use tcor_workloads::{suite as benchmarks, BenchmarkProfile};
 
@@ -75,6 +76,30 @@ pub const CELL_CONFIGS: [&str; 6] = [
     "tcor128",
 ];
 
+/// The system configuration of the [`CELL_CONFIGS`] cell `name` of
+/// `profile`, or `None` for any other name.
+pub fn cell_config(profile: &BenchmarkProfile, name: &str) -> Option<SystemConfig> {
+    let cfg = match name {
+        "base64" => SystemConfig::paper_baseline_64k(),
+        "tcor_nol2_64" => SystemConfig::paper_tcor_64k().without_l2_enhancements(),
+        "tcor64" => SystemConfig::paper_tcor_64k(),
+        "base128" => SystemConfig::paper_baseline_128k(),
+        "tcor_nol2_128" => SystemConfig::paper_tcor_128k().without_l2_enhancements(),
+        "tcor128" => SystemConfig::paper_tcor_128k(),
+        _ => return None,
+    };
+    Some(cfg.with_raster(profile.raster_params()))
+}
+
+/// Simulates one frame of `scene` under `cfg`: the baseline GPU for a
+/// unified Tile Cache, TCOR for a split one.
+pub fn simulate_frame(scene: &Scene, cfg: &SystemConfig) -> FrameReport {
+    match cfg.gpu.tile_cache {
+        TileCacheOrg::Unified { .. } => BaselineSystem::new(cfg.clone()).run_frame(scene),
+        TileCacheOrg::Split { .. } => TcorSystem::new(cfg.clone()).run_frame(scene),
+    }
+}
+
 /// Runs one configuration cell of one benchmark on an already
 /// calibrated scene.
 ///
@@ -82,30 +107,20 @@ pub const CELL_CONFIGS: [&str; 6] = [
 ///
 /// Panics on a name outside [`CELL_CONFIGS`].
 pub fn run_cell(profile: &BenchmarkProfile, scene: &Scene, cfg: &str) -> FrameReport {
-    let rp = profile.raster_params();
-    let base = |cfg: SystemConfig| BaselineSystem::new(cfg.with_raster(rp)).run_frame(scene);
-    let tcor = |cfg: SystemConfig| TcorSystem::new(cfg.with_raster(rp)).run_frame(scene);
-    match cfg {
-        "base64" => base(SystemConfig::paper_baseline_64k()),
-        "tcor_nol2_64" => tcor(SystemConfig::paper_tcor_64k().without_l2_enhancements()),
-        "tcor64" => tcor(SystemConfig::paper_tcor_64k()),
-        "base128" => base(SystemConfig::paper_baseline_128k()),
-        "tcor_nol2_128" => tcor(SystemConfig::paper_tcor_128k().without_l2_enhancements()),
-        "tcor128" => tcor(SystemConfig::paper_tcor_128k()),
-        other => panic!("unknown cell config `{other}`"),
-    }
+    let config = cell_config(profile, cfg).unwrap_or_else(|| panic!("unknown cell config `{cfg}`"));
+    simulate_frame(scene, &config)
 }
 
-/// Enforces the Attribute Cache's OPT self-check on a TCOR frame of a
-/// study outside the paper cells (sweep, ablation, traversal, scaling):
-/// an eviction that did not take the farthest-future eligible line
+/// Enforces the Attribute Cache's OPT self-check on every TCOR frame a
+/// study reads (sweep, ablation, traversal, scaling), paper cells
+/// included: an eviction that did not take the farthest-future eligible line
 /// makes the frame's numbers untrustworthy, so it is corruption.
 ///
 /// # Errors
 ///
 /// [`ErrorKind::Corruption`](tcor_common::ErrorKind::Corruption) when
 /// the frame counted any OPT violation.
-pub(crate) fn opt_checked(report: FrameReport) -> TcorResult<FrameReport> {
+pub(crate) fn opt_checked(report: Arc<FrameReport>) -> TcorResult<Arc<FrameReport>> {
     match report.attr_opt_violations {
         0 => Ok(report),
         n => Err(TcorError::corruption(format!(
@@ -188,12 +203,12 @@ mod tests {
         let scene = tcor_workloads::generate_scene(&profile, &grid);
         let clean = run_cell(&profile, &scene, "tcor64");
         assert_eq!(clean.attr_opt_violations, 0);
-        assert!(opt_checked(clean.clone()).is_ok());
+        assert!(opt_checked(Arc::new(clean.clone())).is_ok());
         let tampered = FrameReport {
             attr_opt_violations: 2,
             ..clean
         };
-        let err = opt_checked(tampered).unwrap_err();
+        let err = opt_checked(Arc::new(tampered)).unwrap_err();
         assert_eq!(err.kind(), tcor_common::ErrorKind::Corruption);
         assert!(err.to_string().contains("2 Attribute Cache eviction(s)"));
     }

@@ -7,16 +7,19 @@
 //! capacity (the Fig. 11 "6.8× smaller cache" claim, measured in the
 //! full system).
 
-use crate::orchestrate::calibrated_scene;
+use crate::orchestrate::{calibrated_scene, frame_report};
 use crate::output::Table;
 use crate::suite::opt_checked;
-use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+use tcor::SystemConfig;
 use tcor_common::{CacheParams, GpuConfig, TcorResult, TileCacheOrg, TileGrid, LINE_SIZE};
 use tcor_mem::L2Mode;
 use tcor_runner::ArtifactStore;
 use tcor_workloads::suite;
 
-fn baseline_cfg(total_kib: u64) -> SystemConfig {
+/// The Tile Cache budgets of the sweep, in KiB.
+pub(crate) const BUDGETS_KIB: [u64; 7] = [32, 48, 64, 96, 128, 192, 256];
+
+pub(crate) fn baseline_cfg(total_kib: u64) -> SystemConfig {
     let mut cfg = SystemConfig::paper_baseline_64k();
     cfg.gpu = GpuConfig {
         tile_cache: TileCacheOrg::Unified {
@@ -27,7 +30,7 @@ fn baseline_cfg(total_kib: u64) -> SystemConfig {
     cfg
 }
 
-fn tcor_cfg(total_kib: u64) -> SystemConfig {
+pub(crate) fn tcor_cfg(total_kib: u64) -> SystemConfig {
     let mut cfg = SystemConfig::paper_tcor_64k();
     // The paper's split keeps a fixed 16 KiB Primitive List Cache and
     // gives the rest to the Attribute Cache.
@@ -73,14 +76,12 @@ pub fn sweep(store: &ArtifactStore) -> TcorResult<Table> {
         .iter()
         .map(|b| calibrated_scene(store, b, &grid))
         .collect::<TcorResult<_>>()?;
-    for kib in [32u64, 48, 64, 96, 128, 192, 256] {
+    for kib in BUDGETS_KIB {
         let mut row = vec![kib.to_string()];
         for (b, cal) in picks.iter().zip(&scenes) {
-            let scene = &cal.scene;
             let rp = b.raster_params();
-            let base = BaselineSystem::new(baseline_cfg(kib).with_raster(rp)).run_frame(scene);
-            let tcor =
-                opt_checked(TcorSystem::new(tcor_cfg(kib).with_raster(rp)).run_frame(scene))?;
+            let base = frame_report(store, b, cal, &baseline_cfg(kib).with_raster(rp))?;
+            let tcor = opt_checked(frame_report(store, b, cal, &tcor_cfg(kib).with_raster(rp))?)?;
             row.push(base.pb_l2_accesses().to_string());
             row.push(tcor.pb_l2_accesses().to_string());
         }
@@ -92,6 +93,7 @@ pub fn sweep(store: &ArtifactStore) -> TcorResult<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcor::TcorSystem;
 
     #[test]
     fn configs_preserve_budget() {

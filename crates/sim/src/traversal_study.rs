@@ -11,12 +11,28 @@
 //! are visited in bursts), helping both the Attribute Cache and the L2's
 //! dead-line turnover; scanline stretches vertical neighbours far apart.
 
+use crate::orchestrate::{calibrated_scene, frame_report};
 use crate::output::{f3, Table};
 use crate::suite::opt_checked;
-use tcor::{SystemConfig, TcorSystem};
+use tcor::SystemConfig;
 use tcor_common::{TcorResult, Traversal};
 use tcor_runner::ArtifactStore;
-use tcor_workloads::suite;
+use tcor_workloads::{suite, BenchmarkProfile};
+
+/// The traversal orders of the study, with their table names.
+pub(crate) const ORDERS: [(Traversal, &str); 4] = [
+    (Traversal::Scanline, "scanline"),
+    (Traversal::Serpentine, "serpentine"),
+    (Traversal::ZOrder, "z-order"),
+    (Traversal::Hilbert, "hilbert"),
+];
+
+/// Full TCOR at the 64 KiB budget, traversing tiles in `order`.
+pub(crate) fn order_config(profile: &BenchmarkProfile, order: Traversal) -> SystemConfig {
+    let mut cfg = SystemConfig::paper_tcor_64k().with_raster(profile.raster_params());
+    cfg.gpu.traversal = order;
+    cfg
+}
 
 /// PB L2 accesses and primitives/cycle per traversal order.
 ///
@@ -37,17 +53,10 @@ pub fn traversal_study(store: &ArtifactStore) -> TcorResult<Table> {
         &["bench", "order", "pb_l2", "ppc"],
     );
     for b in picks {
-        let cal = crate::orchestrate::calibrated_scene(store, b, &grid)?;
-        let scene = &cal.scene;
-        for (order, name) in [
-            (Traversal::Scanline, "scanline"),
-            (Traversal::Serpentine, "serpentine"),
-            (Traversal::ZOrder, "z-order"),
-            (Traversal::Hilbert, "hilbert"),
-        ] {
-            let mut cfg = SystemConfig::paper_tcor_64k().with_raster(b.raster_params());
-            cfg.gpu.traversal = order;
-            let r = opt_checked(TcorSystem::new(cfg).run_frame(scene))?;
+        let cal = calibrated_scene(store, b, &grid)?;
+        for (order, name) in ORDERS {
+            let cfg = order_config(b, order);
+            let r = opt_checked(frame_report(store, b, &cal, &cfg)?)?;
             t.push_row(vec![
                 b.alias.to_string(),
                 name.to_string(),
